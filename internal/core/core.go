@@ -162,7 +162,7 @@ type Result struct {
 	// RealizationError is the MSE between the hardware's displayed
 	// luminance and Λ (0 unless Options.Driver set).
 	RealizationError float64
-	// PlanCached reports whether the Plan came from the engine's LRU
+	// PlanCached reports whether the Plan came from the plan cache
 	// rather than a fresh equalize/plc solve (always false on engines
 	// with caching disabled, including the legacy wrappers).
 	PlanCached bool

@@ -6,7 +6,7 @@
 //   - Plan: Φ equalization (Eq. 5–7), PLC coarsening (Eq. 9), β and the
 //     PLRD driver program (Eq. 10) — pure and image-size-independent:
 //     it depends only on the histogram, so identical histograms yield
-//     identical plans and a small LRU keyed by histogram hash makes
+//     identical plans and the shared plan cache (plancache.go) makes
 //     steady-state video planning free.
 //   - Apply: the per-pixel Λ remap into caller- or pool-provided
 //     buffers — the only stage that touches pixel data.
@@ -68,14 +68,12 @@ func validateOptions(opts Options) error {
 
 // EngineOptions configures a new Engine.
 type EngineOptions struct {
-	// PlanCacheSize selects the engine's plan-cache tier. 0 (the
-	// default) joins the process-wide sharded cache — hash-striped
-	// over planCacheShards independently locked LRU stripes and shared
-	// across zones, engines and tenants, with the same exact-match
-	// verification as ever. A positive value gives this engine a
-	// private LRU of that capacity, isolated from process-wide warm
-	// state. A negative value disables caching (every PlanFor
-	// recomputes, emitting the full equalize/plc span set).
+	// PlanCacheSize switches plan caching: a negative value disables it
+	// (every PlanFor recomputes, emitting the full equalize/plc span
+	// set); any other value joins the process-wide sharded cache,
+	// shared across zones, engines and clips with exact-match
+	// verification (plancache.go). The cache is sized globally, so the
+	// magnitude is ignored.
 	PlanCacheSize int
 
 	// Workers bounds intra-frame parallelism: sharded histogram
@@ -91,15 +89,13 @@ type EngineOptions struct {
 
 // Engine runs the HEBS pipeline with reusable scratch state: pooled
 // gray/rgb frame buffers and histograms (so steady-state processing
-// allocates ~nothing per frame) and an LRU of recent Plans keyed by
-// histogram hash. An Engine is safe for concurrent use; the zero
-// value is not valid — use NewEngine.
+// allocates ~nothing per frame) and, unless disabled, the shared plan
+// cache. An Engine is safe for concurrent use; the zero value is not
+// valid — use NewEngine.
 type Engine struct {
-	// Exactly one of planShared/planCache is non-nil when caching is
-	// enabled: the process-wide sharded tier (the default) or a
-	// private per-engine LRU (PlanCacheSize > 0).
+	// planShared is the process-wide plan cache, nil when caching is
+	// disabled (PlanCacheSize < 0).
 	planShared *planShards
-	planCache  *planCache
 
 	// workers is the resolved EngineOptions.Workers: >= 1, where 1
 	// means every stage runs serially.
@@ -122,11 +118,8 @@ type Engine struct {
 // NewEngine returns an Engine with the given options.
 func NewEngine(opts EngineOptions) *Engine {
 	e := &Engine{workers: resolveWorkers(opts.Workers)}
-	switch size := opts.PlanCacheSize; {
-	case size == 0:
+	if opts.PlanCacheSize >= 0 {
 		e.planShared = globalPlanCache
-	case size > 0:
-		e.planCache = &planCache{cap: size}
 	}
 	return e
 }
@@ -388,17 +381,11 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 // distortion on this image does not exceed the budget. With engine
 // workers and a frame large enough to amortize the fan-out it
 // delegates to the speculative parallel search, which probes the
-// identical candidate sequence.
-func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistortion float64, metric chart.Metric) (r int, predicted float64, err error) {
-	return e.minRangeExactInto(ctx, img, maxDistortion, metric, nil)
-}
-
-// minRangeExactInto is minRangeExact with an optional caller-provided
-// probe scratch buffer (img's geometry). The zoned fast path passes
+// identical candidate sequence. scratch (img's geometry) is the probe
+// buffer; nil draws one from the engine pool. The zoned walk passes
 // each zone slot's persistent buffer so per-zone searches stop cycling
-// the engine pool between zone and frame geometries; nil keeps the
-// pooled behavior.
-func (e *Engine) minRangeExactInto(ctx context.Context, img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
+// the pool between zone and frame geometries.
+func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
 	if e.workers > 1 && len(img.Pix) >= minSearchPixels {
 		return e.minRangeExactSpec(ctx, img, maxDistortion, metric)
 	}
@@ -428,21 +415,11 @@ func (e *Engine) minRangeExactInto(ctx context.Context, img *gray.Image, maxDist
 
 // selectRange is step 1 (D_max → R) through the engine: identical
 // decisions to the package-level selectRange, with the ExactSearch
-// path run against pooled scratch buffers and the per-range
-// reconstruction cache.
-func (e *Engine) selectRange(ctx context.Context, img *gray.Image, opts Options) (r int, predicted float64, err error) {
+// path run against the per-range reconstruction cache and the probe
+// buffer scratch (nil = pooled; see minRangeExact).
+func (e *Engine) selectRange(ctx context.Context, img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
 	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
-		return e.minRangeExact(ctx, img, opts.MaxDistortionPercent, opts.Metric)
-	}
-	return selectRange(img, opts)
-}
-
-// selectRangeZone is selectRange with a caller-provided scratch buffer
-// for the exact-search probes (identical decisions; see
-// minRangeExactInto).
-func (e *Engine) selectRangeZone(ctx context.Context, img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
-	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
-		return e.minRangeExactInto(ctx, img, opts.MaxDistortionPercent, opts.Metric, scratch)
+		return e.minRangeExact(ctx, img, opts.MaxDistortionPercent, opts.Metric, scratch)
 	}
 	return selectRange(img, opts)
 }
@@ -464,7 +441,7 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 		return 0, 0, err
 	}
 	sp, rsDone := stage(obs.SpanFromContext(ctx), stageRangeSelect)
-	r, predicted, err = e.selectRange(obs.ContextWithSpan(ctx, sp), img, opts)
+	r, predicted, err = e.selectRange(obs.ContextWithSpan(ctx, sp), img, opts, nil)
 	rsDone.end(err)
 	return r, predicted, err
 }
@@ -476,7 +453,7 @@ func (e *Engine) analyzeStages(ctx context.Context, sp *obs.Span, img *gray.Imag
 		return 0, 0, nil, err
 	}
 	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err = e.selectRange(ctx, img, opts)
+	r, predicted, err = e.selectRange(ctx, img, opts, nil)
 	if opts.DynamicRange != 0 && err == nil {
 		// A forced range is a lookup, not a search: it keeps its span so
 		// the trace shows every Figure 4 stage, but only range decisions
@@ -519,7 +496,7 @@ func (e *Engine) Analyze(ctx context.Context, img *gray.Image, opts Options) (*A
 	return &Analysis{Histogram: h, Range: r, PredictedDistortion: predicted, eng: e}, nil
 }
 
-// planFor computes (or retrieves from the LRU) the Plan for a
+// planFor computes (or retrieves from the plan cache) the Plan for a
 // histogram at range r, with stage spans as children of parent.
 func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (plan *Plan, cached bool, err error) {
 	if segments <= 0 {
@@ -527,15 +504,9 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	}
 	var hash uint64
 	clipBits := math.Float64bits(clipFactor)
-	if e.planShared != nil || e.planCache != nil {
+	if e.planShared != nil {
 		hash = planHash(h, r, segments, eq, clipBits)
-		var plan *Plan
-		if e.planShared != nil {
-			plan = e.planShared.lookup(hash, h, r, segments, drv, eq, clipBits)
-		} else {
-			plan = e.planCache.lookup(hash, h, r, segments, drv, eq, clipBits)
-		}
-		if plan != nil {
+		if plan := e.planShared.lookup(hash, h, r, segments, drv, eq, clipBits); plan != nil {
 			mPlanCacheHits.Inc()
 			parent.SetBool("plan_cached", true)
 			return plan, true, nil
@@ -546,17 +517,14 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	if err != nil {
 		return nil, false, err
 	}
-	switch {
-	case e.planShared != nil:
+	if e.planShared != nil {
 		e.planShared.store(hash, h, r, segments, drv, eq, clipBits, plan)
-	case e.planCache != nil:
-		e.planCache.store(hash, h, r, segments, drv, eq, clipBits, plan)
 	}
 	return plan, false, nil
 }
 
 // PlanFor runs the Plan stage alone: histogram → Φ → Λ → β → PLRD
-// program, served from the engine's plan LRU when the histogram and
+// program, served from the plan cache when the histogram and
 // operating point match a recent solve. Plans are immutable and may
 // be shared; they need no release.
 func (e *Engine) PlanFor(ctx context.Context, h *histogram.Histogram, r int, opts Options) (*Plan, error) {
@@ -736,11 +704,12 @@ func (e *Engine) AnalyzeApply(ctx context.Context, img *gray.Image, h *histogram
 
 // FusedApply is the scheduler's steady-state path for a frame whose
 // measurements are memoized: Plan from the (incrementally maintained)
-// histogram — an LRU hit in steady state — then the single word-packed
-// Λ traversal into a pooled frame. No distortion or power measurement
-// runs; the caller reuses the previous identical frame's numbers.
+// histogram — a plan-cache hit in steady state — then the single
+// word-packed Λ traversal into a pooled frame. No distortion or power
+// measurement runs; the caller reuses the previous identical frame's
+// numbers.
 // Return the frame with ReleaseImage; planCached reports whether the
-// plan came from the LRU.
+// plan came from the plan cache.
 //
 //hebs:noalloc
 func (e *Engine) FusedApply(ctx context.Context, img *gray.Image, h *histogram.Histogram, r int, opts Options) (out *gray.Image, planCached bool, err error) {
@@ -781,7 +750,7 @@ func (e *Engine) FusedApply(ctx context.Context, img *gray.Image, h *histogram.H
 }
 
 // processPlanned is the shared tail of Process and AnalyzeApply: Plan
-// (LRU-served), Apply (sharded or packed), then the distortion/power
+// (cache-served), Apply (sharded or packed), then the distortion/power
 // measurements and run metrics. h must describe img exactly.
 func (e *Engine) processPlanned(ctx context.Context, sp *obs.Span, img *gray.Image, h *histogram.Histogram, r int, predicted float64, segments int, sub power.Subsystem, opts Options, packed bool) (*Result, error) {
 	// Steps 2+3: histogram -> Φ -> Λ (+ the PLRD program) — the Plan
@@ -911,7 +880,7 @@ func (e *Engine) ProcessColor(ctx context.Context, img *rgb.Image, opts Options)
 
 // reconstruction returns (and caches) Φ⁻¹∘Φ for the plan's Λ — the
 // comparand of the distortion measurement. Plans are shared via the
-// LRU, so the reconstruction is computed once per plan under a
+// plan cache, so the reconstruction is computed once per plan under a
 // sync.Once.
 func (p *Plan) reconstruction() (*transform.LUT, error) {
 	p.reconOnce.Do(func() {

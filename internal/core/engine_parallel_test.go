@@ -117,7 +117,7 @@ func TestMinRangeExactSpecMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, 3, 7, 16} {
 		par := NewEngine(EngineOptions{Workers: workers})
 		for _, budget := range []float64{0.5, 2, 5, 10, 20, 50, 99} {
-			wantR, wantD, err := serial.minRangeExact(ctx, img, budget, nil)
+			wantR, wantD, err := serial.minRangeExact(ctx, img, budget, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,15 +36,14 @@ var (
 	mCurveLookups = obs.NewCounter("core.default_curve_lookups_total")
 	mCurveBuilds  = obs.NewCounter("core.default_curve_builds_total")
 
-	// Plan-LRU behaviour across all engines with caching enabled:
+	// Plan-cache behaviour across all engines with caching enabled:
 	// hits are frames whose Plan was reused byte-identically from a
 	// matching recent histogram.
 	mPlanCacheHits   = obs.NewCounter("core.plan_cache_hits_total")
 	mPlanCacheMisses = obs.NewCounter("core.plan_cache_misses_total")
 
-	// Plan-LRU occupancy of the most recently active caching engine
-	// (multiple engines share the gauge; the counters above are the
-	// cross-engine truth).
+	// Occupancy and capacity of the shared plan cache, summed over
+	// its stripes.
 	gPlanCacheEntries  = obs.NewGauge("core.plan_cache.entries")
 	gPlanCacheCapacity = obs.NewGauge("core.plan_cache.capacity")
 

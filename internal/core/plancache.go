@@ -1,19 +1,16 @@
-// Plan caching. Two tiers share one exact-match contract: the key is
-// an FNV-1a hash over the histogram bins plus the operating point, and
-// on a hash hit the stored bins are compared in full, so a reused plan
-// is guaranteed byte-identical to a recomputed one (the "quantization"
-// of the histogram key is the identity — anything coarser would trade
-// output equality for hit rate).
+// The process-wide plan cache. The key is an FNV-1a hash over the
+// histogram bins plus the operating point, and on a hash hit the
+// stored bins are compared in full, so a reused plan is guaranteed
+// byte-identical to a recomputed one (the "quantization" of the
+// histogram key is the identity — anything coarser would trade output
+// equality for hit rate).
 //
-//   - The process-wide sharded cache (planShards) is the default. It
-//     is hash-striped over planCacheShards independently locked LRU
-//     stripes, so zone fan-outs, concurrent engines and (eventually)
-//     hebsd tenants share warm plans without serializing on one mutex:
-//     a 16-zone frame walks 16 distinct histograms per frame, which
-//     thrashed the old single 8-entry per-engine LRU end to end.
-//   - A private per-engine LRU (planCache) remains available through
-//     EngineOptions.PlanCacheSize > 0 for callers that need isolation
-//     from process-wide warm state.
+// The cache is hash-striped over planCacheShards independently locked
+// LRU stripes, so zone fan-outs and concurrent engines share warm
+// plans without serializing on one mutex: a 16-zone frame walks 16
+// distinct histograms per frame, which thrashed the old single 8-entry
+// per-engine LRU end to end. Caching is shared or off: every engine
+// joins this one cache unless EngineOptions.PlanCacheSize < 0.
 //
 // Plans are immutable once built (the lazy reconstruction LUT is
 // published atomically), so sharing them across engines is safe.
@@ -89,44 +86,6 @@ func planHash(h *histogram.Histogram, r, segments int, eq Equalizer, clipBits ui
 	mix(uint64(int64(eq)))
 	mix(clipBits)
 	return x
-}
-
-// planCache is a small exact-match LRU of recent Plans — the private
-// per-engine tier (EngineOptions.PlanCacheSize > 0).
-type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries []*planEntry // LRU order: most recently used last
-}
-
-func (c *planCache) lookup(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipBits uint64) *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.entries) - 1; i >= 0; i-- {
-		e := c.entries[i]
-		if !e.planKeyMatches(hash, h, r, segments, drv, eq, clipBits) {
-			continue
-		}
-		copy(c.entries[i:], c.entries[i+1:])
-		c.entries[len(c.entries)-1] = e
-		return e.plan
-	}
-	return nil
-}
-
-func (c *planCache) store(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipBits uint64, plan *Plan) {
-	e := &planEntry{
-		hash: hash, bins: h.Bins, n: h.N,
-		r: r, segments: segments, eq: eq, clipBits: clipBits, drv: drv,
-		plan: plan,
-	}
-	c.mu.Lock()
-	if len(c.entries) >= c.cap {
-		n := copy(c.entries, c.entries[1:])
-		c.entries = c.entries[:n]
-	}
-	c.entries = append(c.entries, e)
-	c.mu.Unlock()
 }
 
 // planShard is one stripe of the process-wide cache: an LRU plus its

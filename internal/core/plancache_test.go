@@ -111,21 +111,16 @@ func TestPlanShardsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineCacheTiers: PlanCacheSize selects the tier — 0 the shared
-// sharded cache (plans flow between engines), >0 a private LRU
-// (isolated), <0 disabled.
+// TestEngineCacheTiers: caching is shared or off — PlanCacheSize >= 0
+// joins the shared sharded cache (plans flow between engines), < 0
+// disables it.
 func TestEngineCacheTiers(t *testing.T) {
-	shared1 := NewEngine(EngineOptions{})
-	shared2 := NewEngine(EngineOptions{})
-	if shared1.planShared != globalPlanCache || shared2.planShared != globalPlanCache {
-		t.Fatal("default engines not on the shared tier")
+	for _, size := range []int{0, 4} {
+		if e := NewEngine(EngineOptions{PlanCacheSize: size}); e.planShared != globalPlanCache {
+			t.Fatalf("PlanCacheSize %d did not select the shared tier", size)
+		}
 	}
-	private := NewEngine(EngineOptions{PlanCacheSize: 4})
-	if private.planShared != nil || private.planCache == nil || private.planCache.cap != 4 {
-		t.Fatal("positive PlanCacheSize did not select a private LRU")
-	}
-	disabled := NewEngine(EngineOptions{PlanCacheSize: -1})
-	if disabled.planShared != nil || disabled.planCache != nil {
+	if disabled := NewEngine(EngineOptions{PlanCacheSize: -1}); disabled.planShared != nil {
 		t.Fatal("negative PlanCacheSize did not disable caching")
 	}
 }

@@ -11,12 +11,14 @@
 // frames, bit-identical numbers — which is what TestBackendEquivalence
 // pins.
 //
-// Two walks implement the path. The fast walk (zonedstate.go) runs by
-// default: pooled cross-call per-zone state lets byte-identical zones
-// skip re-analysis and replay their certified measurements. The
-// reference walk below recomputes everything from scratch each call;
-// it is kept behind SetZonedFastPath(false) as the equivalence oracle
-// the fast walk is pinned against (TestZonedFastPathEquivalence).
+// One walk implements the path, the body of ProcessZoned: pooled
+// cross-call per-zone state (zonedstate.go) lets byte-identical zones
+// skip re-analysis and replay their certified measurements. Its oracle
+// is the same walk with memoization off — an engine with
+// PlanCacheSize < 0 and a backend whose dynamic type is not
+// comparable, so zonedKeyFor fails and no memo outlives a call
+// (TestZonedFastPathEquivalence) — plus an independent per-zone oracle
+// built on Engine.Process (TestZonedMatchesPerZoneProcess).
 package core
 
 import (
@@ -84,9 +86,9 @@ type ZoneResult struct {
 	// zone's own pixels.
 	Distortion float64
 	// PlanCached reports the zone's plan was reused rather than solved:
-	// a plan-cache hit, or (on the fast walk) a certified replay of the
-	// unchanged zone's memoized plan. Run-history-dependent — identical
-	// inputs can differ in this field depending on what ran before.
+	// a plan-cache hit, or a certified replay of the unchanged zone's
+	// memoized plan. Run-history-dependent — identical inputs can
+	// differ in this field depending on what ran before.
 	PlanCached bool
 	// Power is the zone's power at the applied β displaying the
 	// transformed zone content.
@@ -133,16 +135,6 @@ func (r *ZonedResult) Release() {
 		eng.putGray(r.Transformed)
 		r.Transformed = nil
 	}
-}
-
-// zoneScratch is the reference walk's per-zone intermediate state
-// between the analysis and apply fan-outs (the fast walk keeps its
-// persistent equivalent in zoneSlot).
-type zoneScratch struct {
-	x0, y0, x1, y1 int
-	img            *gray.Image          // pooled copy of the zone's pixels
-	hist           *histogram.Histogram // pooled zone histogram
-	r              int                  // the zone's own admissible range
 }
 
 // applyLUTRect remaps src's [x0,x1)×[y0,y1) rectangle through lut into
@@ -192,6 +184,13 @@ func copyRect(src, dst *gray.Image, x0, y0 int) {
 // (floors and smoothing are raise-only, quantization rounds up), and a
 // raised β enlarges the zone's admissible range, so no zone's
 // distortion budget is violated by any of the three adjustments.
+//
+// Across calls the walk reuses pooled per-zone state (zonedstate.go):
+// a zone byte-identical to the previous call's skips its analysis,
+// one whose operating point also survives phase B replays its plan
+// and measurements, and a frame whose zones all replay replays its
+// whole-frame distortion. Every shortcut is certified by byte
+// comparison, so outputs equal a from-scratch run's.
 //
 // With a 1×1 global backend the run degenerates to the classic
 // pipeline: one zone covering the frame, the same range selection,
@@ -243,17 +242,196 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	sp.SetString("backend", b.Name())
 	sp.SetInt("zones", zones)
 
-	if zonedFastPath.Load() {
-		return e.processZonedFast(ctx, sp, img, opts, b, g, segments, metric)
+	key, keyOK := zonedKeyFor(opts, segments, b)
+	st := acquireZonedState(img, g, key, keyOK)
+	sealed := false
+	defer func() {
+		st.sealed = sealed
+		zonedStatePool.Put(st)
+	}()
+
+	// Phase A — per-zone analysis. A zone byte-identical to its
+	// reference copy keeps its histogram and range; a changed zone
+	// recopies, re-searches, re-bins, and drops its measurement memo.
+	err := parallel.ForEach(ctx, zones, e.workers, func(k int) error {
+		z := &st.slots[k]
+		if z.valid && equalRect(img, z.img, z.x0, z.y0) {
+			st.unchanged[k] = true
+			mZonedZoneSkips.Inc()
+			return nil
+		}
+		st.unchanged[k] = false
+		z.valid = false
+		z.mValid = false
+		z.plan = nil
+		copyRect(img, z.img, z.x0, z.y0)
+		r, _, err := e.selectRange(ctx, z.img, opts, z.scratch)
+		if err != nil {
+			return fmt.Errorf("core: zone %d: %w", k, err)
+		}
+		histogram.OfInto(z.img, &z.hist)
+		z.r = r
+		z.valid = true
+		mZonedZoneRebins.Inc()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return e.processZonedRef(ctx, sp, img, opts, b, g, segments, metric)
+
+	// Phase B — the serial β-field pass. Cheap, floor-dependent,
+	// deterministic: always recomputed.
+	for k := range st.slots {
+		st.rs[k] = st.slots[k].r
+	}
+	sweeps, maxGrad, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
+	if err != nil {
+		return nil, err
+	}
+
+	// Frame-level replay decision, before the fan-out: only when every
+	// zone replays is the reconstruction (and hence the frame metric)
+	// identical to the memoized run, letting the recon buffer be
+	// skipped entirely.
+	replayAll := st.frameValid
+	if replayAll {
+		for k := range st.slots {
+			if !st.canReplay(k) {
+				replayAll = false
+				break
+			}
+		}
+	}
+
+	// Phase C — per-zone Plan/Apply/measure. Replaying zones remap Λ
+	// from the memoized plan (the output buffer is always written
+	// fresh) and reuse their stored measurements; computing zones run
+	// the full stage and store the memo.
+	out := e.getGray(img.W, img.H)
+	var recon *gray.Image
+	if !replayAll {
+		recon = e.getGray(img.W, img.H)
+		defer e.putGray(recon)
+	}
+	results := make([]ZoneResult, zones)
+	err = parallel.ForEach(ctx, zones, e.workers, func(k int) error {
+		z := &st.slots[k]
+		if st.canReplay(k) {
+			if invariant.Enabled {
+				if err := st.checkReplay(ctx, sp, k, segments, opts); err != nil {
+					return err
+				}
+			}
+			if err := applyLUTRect(z.plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
+				return err
+			}
+			if recon != nil {
+				reconLUT, err := z.plan.reconstruction()
+				if err != nil {
+					return err
+				}
+				if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
+					return err
+				}
+			}
+			r := z.res
+			r.PlanCached = true
+			results[k] = r
+			st.befores[k] = z.before
+			mZonedZoneReplays.Inc()
+			return nil
+		}
+		zsp := sp.Child("engine.zone")
+		defer zsp.End()
+		zsp.SetInt("zone", k)
+		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments,
+			opts.Driver, opts.Equalizer, opts.ClipFactor)
+		if err != nil {
+			return fmt.Errorf("core: zone %d: %w", k, err)
+		}
+		if err := applyLUTRect(plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
+			return err
+		}
+		reconLUT, err := plan.reconstruction()
+		if err != nil {
+			return err
+		}
+		if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
+			return err
+		}
+		// The zone's own reconstruction is a rectangle of the frame
+		// recon just written — copy it out instead of remapping again.
+		copyRect(recon, z.scratch, z.x0, z.y0)
+		d, err := metric(z.img, z.scratch)
+		if err != nil {
+			return fmt.Errorf("core: zone %d distortion: %w", k, err)
+		}
+		total := len(img.Pix)
+		before, err := b.ZonePower(1, backlight.ContentOfRect(img, z.x0, z.y0, z.x1, z.y1, total))
+		if err != nil {
+			return fmt.Errorf("core: zone %d: %w", k, err)
+		}
+		after, err := b.ZonePower(st.betas[k], backlight.ContentOfRect(out, z.x0, z.y0, z.x1, z.y1, total))
+		if err != nil {
+			return fmt.Errorf("core: zone %d: %w", k, err)
+		}
+		st.befores[k] = before
+		results[k] = ZoneResult{
+			Zone: k, X0: z.x0, Y0: z.y0, X1: z.x1, Y1: z.y1,
+			Range: st.rngs[k], TargetBeta: st.targets[k], Beta: st.betas[k],
+			Distortion: d, PlanCached: cached, Power: after,
+		}
+		if st.keyOK {
+			z.plan = plan
+			z.mRng = st.rngs[k]
+			z.mBeta = st.betas[k]
+			z.res = results[k]
+			z.before = before
+			z.mValid = true
+		}
+		zsp.SetInt("range", st.rngs[k])
+		zsp.SetFloat("beta", st.betas[k])
+		return nil
+	})
+	if err != nil {
+		e.putGray(out)
+		return nil, err
+	}
+
+	res := &ZonedResult{
+		Original:     img,
+		Transformed:  out,
+		Backend:      b.Name(),
+		Grid:         g,
+		Zones:        results,
+		SmoothSweeps: sweeps,
+		eng:          e,
+	}
+	if replayAll {
+		res.AchievedDistortion = st.frameDist
+		mZonedFrameReplays.Inc()
+		sp.SetBool("zoned_frame_replay", true)
+	} else {
+		res.AchievedDistortion, err = metric(img, recon)
+		if err != nil {
+			res.Release()
+			return nil, err
+		}
+		if st.keyOK {
+			st.frameDist = res.AchievedDistortion
+			st.frameValid = true
+		}
+	}
+	finalizeZoned(res, st.befores, st.targets, st.betas, g, maxGrad, sweeps, sp)
+	sealed = true
+	return res, nil
 }
 
-// betaField is phase B — the serial β-field pass both walks share:
-// per-zone targets from the analyzed ranges rs, floors (the video
-// governor's slew limits), the spatial relaxation, then the backend's
-// drive grid. targets, betas and rngs are filled in place (each of
-// length len(rs)). Returns the relaxation sweep count and the resolved
+// betaField is phase B — the serial β-field pass: per-zone targets
+// from the analyzed ranges rs, floors (the video governor's slew
+// limits), the spatial relaxation, then the backend's drive grid.
+// targets, betas and rngs are filled in place (each of length
+// len(rs)). Returns the relaxation sweep count and the resolved
 // gradient bound.
 func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, maxGrad float64, err error) {
 	for k := range rs {
@@ -297,11 +475,11 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 	return sweeps, maxGrad, nil
 }
 
-// finalizeZoned is the shared tail of both walks: the serial reduction
-// in zone index order (so the sums are identical at every worker count
-// and, at 1×1, identical to the legacy Subsystem.Power accumulation),
-// the invariant checks and the run telemetry. res.Zones and befores
-// must be fully populated.
+// finalizeZoned is the walk's tail: the serial reduction in zone
+// index order (so the sums are identical at every worker count and, at
+// 1×1, identical to the legacy Subsystem.Power accumulation), the
+// invariant checks and the run telemetry. res.Zones and befores must
+// be fully populated.
 func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, g backlight.Grid, maxGrad float64, sweeps int, sp *obs.Span) {
 	res.BetaMin, res.BetaMax = betas[0], betas[0]
 	var sum float64
@@ -352,137 +530,4 @@ func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, bet
 	sp.SetInt("smooth_sweeps", sweeps)
 	sp.SetFloat("achieved_distortion_pct", res.AchievedDistortion)
 	sp.SetFloat("power_saving_pct", res.PowerSavingPercent)
-}
-
-// processZonedRef is the reference walk: every phase recomputed from
-// scratch on pooled per-call buffers. It is the oracle the fast walk's
-// equivalence suite runs against; keep its behavior frozen.
-func (e *Engine) processZonedRef(ctx context.Context, sp *obs.Span, img *gray.Image, opts Options, b backlight.Backend, g backlight.Grid, segments int, metric chart.Metric) (*ZonedResult, error) {
-	zones := g.Zones()
-	zs := make([]zoneScratch, zones)
-	releaseScratch := func() {
-		for k := range zs {
-			if zs[k].img != nil {
-				e.putGray(zs[k].img)
-			}
-			if zs[k].hist != nil {
-				e.putHist(zs[k].hist)
-			}
-		}
-	}
-	defer releaseScratch()
-
-	// Phase A — per-zone analysis, fanned out on the zone grid: copy
-	// the zone's pixels into a pooled buffer, run step 1 on them (the
-	// exact search measures the zone's own range-reduction distortion)
-	// and extract the zone histogram.
-	err := parallel.ForEach(ctx, zones, e.workers, func(k int) error {
-		x0, y0, x1, y1 := g.ZoneRect(k, img.W, img.H)
-		zimg := e.getGray(x1-x0, y1-y0)
-		zs[k] = zoneScratch{x0: x0, y0: y0, x1: x1, y1: y1, img: zimg}
-		copyRect(img, zimg, x0, y0)
-		r, _, err := e.selectRange(ctx, zimg, opts)
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		h := e.getHist()
-		zs[k].hist = h
-		histogram.OfInto(zimg, h)
-		zs[k].r = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase B — the serial β-field pass.
-	rs := make([]int, zones)
-	for k := range zs {
-		rs[k] = zs[k].r
-	}
-	targets := make([]float64, zones)
-	betas := make([]float64, zones)
-	rngs := make([]int, zones)
-	sweeps, maxGrad, err := betaField(opts, b, g, rs, targets, betas, rngs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase C — per-zone Plan/Apply/measure, fanned out on the zone
-	// grid. Zone plans share the plan cache; Λ and the reconstruction
-	// are remapped rectangle-wise into full-frame pooled buffers.
-	out := e.getGray(img.W, img.H)
-	recon := e.getGray(img.W, img.H)
-	defer e.putGray(recon)
-	results := make([]ZoneResult, zones)
-	befores := make([]backlight.ZonePower, zones)
-	err = parallel.ForEach(ctx, zones, e.workers, func(k int) error {
-		z := &zs[k]
-		zsp := sp.Child("engine.zone")
-		defer zsp.End()
-		zsp.SetInt("zone", k)
-		plan, cached, err := e.planFor(ctx, zsp, z.hist, rngs[k], segments,
-			opts.Driver, opts.Equalizer, opts.ClipFactor)
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		if err := applyLUTRect(plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
-			return err
-		}
-		reconLUT, err := plan.reconstruction()
-		if err != nil {
-			return err
-		}
-		if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
-			return err
-		}
-		scratch := e.getGray(z.img.W, z.img.H)
-		defer e.putGray(scratch)
-		if err := reconLUT.ApplyIntoShards(z.img, scratch, 1); err != nil {
-			return err
-		}
-		d, err := metric(z.img, scratch)
-		if err != nil {
-			return fmt.Errorf("core: zone %d distortion: %w", k, err)
-		}
-		total := len(img.Pix)
-		before, err := b.ZonePower(1, backlight.ContentOfRect(img, z.x0, z.y0, z.x1, z.y1, total))
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		after, err := b.ZonePower(betas[k], backlight.ContentOfRect(out, z.x0, z.y0, z.x1, z.y1, total))
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		befores[k] = before
-		results[k] = ZoneResult{
-			Zone: k, X0: z.x0, Y0: z.y0, X1: z.x1, Y1: z.y1,
-			Range: rngs[k], TargetBeta: targets[k], Beta: betas[k],
-			Distortion: d, PlanCached: cached, Power: after,
-		}
-		zsp.SetInt("range", rngs[k])
-		zsp.SetFloat("beta", betas[k])
-		return nil
-	})
-	if err != nil {
-		e.putGray(out)
-		return nil, err
-	}
-
-	res := &ZonedResult{
-		Original:     img,
-		Transformed:  out,
-		Backend:      b.Name(),
-		Grid:         g,
-		Zones:        results,
-		SmoothSweeps: sweeps,
-		eng:          e,
-	}
-	res.AchievedDistortion, err = metric(img, recon)
-	if err != nil {
-		res.Release()
-		return nil, err
-	}
-	finalizeZoned(res, befores, targets, betas, g, maxGrad, sweeps, sp)
-	return res, nil
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"hebs/internal/backlight"
+	"hebs/internal/chart"
 	"hebs/internal/gray"
+	"hebs/internal/power"
 	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
@@ -111,7 +114,7 @@ func nightScene(w, h int) *gray.Image {
 func TestZonedLEDBeatsGlobalCCFLOnNonUniformContent(t *testing.T) {
 	img := nightScene(128, 128)
 	opts := Options{MaxDistortionPercent: 2, ExactSearch: true}
-	eng := NewEngine(EngineOptions{PlanCacheSize: 64})
+	eng := NewEngine(EngineOptions{})
 
 	ccfl, err := eng.ProcessZoned(context.Background(), img, opts, backlight.DefaultCCFL())
 	if err != nil {
@@ -167,7 +170,7 @@ func TestZonedWorkersIdentical(t *testing.T) {
 	opts := Options{MaxDistortionPercent: 8, ExactSearch: true}
 	var ref *ZonedResult
 	for _, workers := range []int{1, 4} {
-		eng := NewEngine(EngineOptions{Workers: workers, PlanCacheSize: 32})
+		eng := NewEngine(EngineOptions{Workers: workers})
 		res, err := eng.ProcessZoned(context.Background(), img, opts, led)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +206,7 @@ func TestZonedBetaFloorRaisesZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{PlanCacheSize: 16})
+	eng := NewEngine(EngineOptions{})
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
 	free, err := eng.ProcessZoned(context.Background(), img, opts, led)
 	if err != nil {
@@ -259,7 +262,7 @@ func TestZonedSmoothingBoundsGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{PlanCacheSize: 64})
+	eng := NewEngine(EngineOptions{})
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true, ZoneMaxGradient: 0.15}
 	res, err := eng.ProcessZoned(context.Background(), img, opts, led)
 	if err != nil {
@@ -296,4 +299,144 @@ func TestZonedSmoothingBoundsGradient(t *testing.T) {
 	if raw.PowerAfter > res.PowerAfter+1e-12 {
 		t.Errorf("unsmoothed power %v above smoothed %v", raw.PowerAfter, res.PowerAfter)
 	}
+}
+
+// crop copies img's [x0,x1)×[y0,y1) rectangle into a new image.
+func crop(img *gray.Image, x0, y0, x1, y1 int) *gray.Image {
+	c := gray.New(x1-x0, y1-y0)
+	for y := y0; y < y1; y++ {
+		copy(c.Pix[(y-y0)*c.W:(y-y0+1)*c.W], img.Pix[y*img.W+x0:y*img.W+x1])
+	}
+	return c
+}
+
+// paste writes src into dst's rectangle with top-left (x0,y0).
+func paste(dst, src *gray.Image, x0, y0 int) {
+	for y := 0; y < src.H; y++ {
+		copy(dst.Pix[(y0+y)*dst.W+x0:(y0+y)*dst.W+x0+src.W], src.Pix[y*src.W:(y+1)*src.W])
+	}
+}
+
+// TestZonedMatchesPerZoneProcess checks the zoned walk against an
+// oracle that shares none of its code: the classic Engine.Process run
+// on each zone's crop at the zone's applied range. Per zone, the
+// transformed rectangle and the distortion must match the crop's run
+// bit for bit, and TargetBeta must be the β of SelectRange on the
+// crop. Per frame, AchievedDistortion must be the UQI of the mosaic of
+// per-zone reconstructions, and the powers the zone-index-order sums
+// of the backend's zone power. The 97×95 frame divides by no grid, so
+// zones differ in size.
+func TestZonedMatchesPerZoneProcess(t *testing.T) {
+	led4, err := backlight.NewLED(backlight.LEDOptions{Rows: 4, Cols: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	led3, err := backlight.NewLED(backlight.LEDOptions{Rows: 3, Cols: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []backlight.Backend{led4, led3, backlight.DefaultOLED()}
+	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
+	eng := NewEngine(EngineOptions{})
+	oracle := NewEngine(EngineOptions{PlanCacheSize: -1})
+	ctx := context.Background()
+	raised := 0
+	for _, fx := range []string{"lena", "baboon", "splash"} {
+		img, err := sipi.Generate(fx, 97, 95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range backends {
+			for _, floored := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/floors=%v", fx, b.Name(), floored)
+				o := opts
+				if floored {
+					o.ZoneBetaFloor = make([]float64, b.Grid().Zones())
+					for k := range o.ZoneBetaFloor {
+						o.ZoneBetaFloor[k] = 0.35 + 0.05*float64(k%8)
+					}
+				}
+				zr, err := eng.ProcessZoned(ctx, img, o, b)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				mosaic := gray.New(img.W, img.H)
+				covered := make([]int, len(img.Pix))
+				var before, after float64
+				for k, z := range zr.Zones {
+					if z.Beta > z.TargetBeta {
+						raised++
+					}
+					zimg := crop(img, z.X0, z.Y0, z.X1, z.Y1)
+					r, _, err := oracle.SelectRange(ctx, zimg, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					target, err := power.BetaForRange(r, transform.Levels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := oracle.Process(ctx, zimg, Options{DynamicRange: z.Range})
+					if err != nil {
+						t.Fatalf("%s zone %d: %v", name, k, err)
+					}
+					//hebslint:allow floateq bit-identity is the contract under test
+					if z.TargetBeta != target || z.Distortion != res.AchievedDistortion {
+						t.Errorf("%s zone %d: target β %v distortion %v, per-zone oracle %v %v",
+							name, k, z.TargetBeta, z.Distortion, target, res.AchievedDistortion)
+					}
+					if !crop(zr.Transformed, z.X0, z.Y0, z.X1, z.Y1).Equal(res.Transformed) {
+						t.Errorf("%s zone %d: transformed rectangle differs from the per-zone oracle", name, k)
+					}
+					recon, err := res.Lambda.Reconstruction()
+					if err != nil {
+						t.Fatal(err)
+					}
+					zrec := gray.New(zimg.W, zimg.H)
+					if err := recon.ApplyInto(zimg, zrec); err != nil {
+						t.Fatal(err)
+					}
+					paste(mosaic, zrec, z.X0, z.Y0)
+					for y := z.Y0; y < z.Y1; y++ {
+						for x := z.X0; x < z.X1; x++ {
+							covered[y*img.W+x]++
+						}
+					}
+					// Zone content from the crops: the same rows in the
+					// same order as the frame rectangle.
+					total := len(img.Pix)
+					pb, err := b.ZonePower(1, backlight.ContentOfRect(zimg, 0, 0, zimg.W, zimg.H, total))
+					if err != nil {
+						t.Fatal(err)
+					}
+					pa, err := b.ZonePower(z.Beta, backlight.ContentOfRect(res.Transformed, 0, 0, zimg.W, zimg.H, total))
+					if err != nil {
+						t.Fatal(err)
+					}
+					before += pb.Total()
+					after += pa.Total()
+					res.Release()
+				}
+				for i, c := range covered {
+					if c != 1 {
+						t.Fatalf("%s: pixel %d covered by %d zones", name, i, c)
+					}
+				}
+				d, err := chart.UQIMetric(img, mosaic)
+				if err != nil {
+					t.Fatal(err)
+				}
+				//hebslint:allow floateq bit-identity is the contract under test
+				if zr.AchievedDistortion != d || zr.PowerBefore != before || zr.PowerAfter != after {
+					t.Errorf("%s: frame D=%v P=(%v,%v), per-zone oracle D=%v P=(%v,%v)",
+						name, zr.AchievedDistortion, zr.PowerBefore, zr.PowerAfter, d, before, after)
+				}
+				zr.Release()
+			}
+		}
+	}
+	if raised == 0 {
+		t.Error("the floors raised no zone; the floored leg is vacuous")
+	}
+	t.Logf("%d zones ran above their own target β", raised)
 }

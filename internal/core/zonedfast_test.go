@@ -106,11 +106,41 @@ func zonedWalk(t *testing.T, eng *Engine, frames []*gray.Image, opts Options, b 
 	return snaps
 }
 
-// TestZonedFastPathEquivalence pins the pooled fast walk bit-for-bit
-// against the from-scratch reference walk: fixtures × backends (ccfl,
-// led:4x4, oled) × workers {1,4}, over a clip that exercises unchanged
-// zones, changed zones, floor-shifted operating points and full-frame
-// replays.
+// memoOff wraps a backend in a non-comparable value: zonedKeyFor then
+// reports ok=false, so ProcessZoned keeps no memo across calls and
+// every zone re-analyzes and re-measures. Together with a
+// PlanCacheSize < 0 engine this is the memo-off oracle — the one
+// zoned walk with every cross-call shortcut switched off.
+type memoOff struct {
+	backlight.Backend
+	_ func()
+}
+
+// replayCounts reads the zoned walk's zone and frame replay counters.
+func replayCounts() (zones, frames int64) {
+	return mZonedZoneReplays.Value(), mZonedFrameReplays.Value()
+}
+
+// oracleWalk runs zonedWalk on the memo-off oracle and fails the test
+// if any zone or frame replayed during it.
+func oracleWalk(t *testing.T, workers int, frames []*gray.Image, opts Options, b backlight.Backend) []zonedSnapshot {
+	t.Helper()
+	z0, f0 := replayCounts()
+	snaps := zonedWalk(t, NewEngine(EngineOptions{Workers: workers, PlanCacheSize: -1}), frames, opts, memoOff{Backend: b})
+	if z1, f1 := replayCounts(); z1 != z0 || f1 != f0 {
+		t.Fatalf("memo-off oracle replayed %d zones and %d frames", z1-z0, f1-f0)
+	}
+	return snaps
+}
+
+// TestZonedFastPathEquivalence pins the memoized walk bit-for-bit
+// against the memo-off oracle: fixtures × backends (ccfl, led:4x4,
+// oled) × workers {1,4}, over a clip that exercises unchanged zones,
+// changed zones, floor-shifted operating points and full-frame
+// replays. The memo runs must replay zones and frames, so a shortcut
+// that silently stopped firing fails here too. (Replays are summed
+// over the grid: the race runtime drops a quarter of sync.Pool puts,
+// so any single run may lose its state.)
 func TestZonedFastPathEquivalence(t *testing.T) {
 	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 4, Cols: 4})
 	if err != nil {
@@ -122,31 +152,37 @@ func TestZonedFastPathEquivalence(t *testing.T) {
 	}
 	backends := []backlight.Backend{backlight.DefaultCCFL(), led, oled}
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
+	var zoneReplays, frameReplays int64
 	for _, workers := range []int{1, 4} {
 		for _, b := range backends {
 			for _, fx := range []string{"lena", "baboon"} {
 				frames := zonedWalkFrames(t, fx, 7)
 
-				prevMode := SetZonedFastPath(true)
-				fast := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}), frames, opts, b)
-				SetZonedFastPath(false)
-				ref := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}), frames, opts, b)
-				SetZonedFastPath(prevMode)
+				z0, f0 := replayCounts()
+				memo := zonedWalk(t, NewEngine(EngineOptions{Workers: workers}), frames, opts, b)
+				z1, f1 := replayCounts()
+				zoneReplays += z1 - z0
+				frameReplays += f1 - f0
+				ref := oracleWalk(t, workers, frames, opts, b)
 
 				for i := range frames {
-					if !reflect.DeepEqual(fast[i], ref[i]) {
-						t.Errorf("%s/%s workers=%d frame %d: fast walk diverged from reference\n fast: %+v\n  ref: %+v",
-							b.Name(), fx, workers, i, fast[i].frames, ref[i].frames)
+					if !reflect.DeepEqual(memo[i], ref[i]) {
+						t.Errorf("%s/%s workers=%d frame %d: memoized walk diverged from the memo-off oracle\n memo: %+v\n  ref: %+v",
+							b.Name(), fx, workers, i, memo[i].frames, ref[i].frames)
 					}
 				}
 			}
 		}
 	}
+	if zoneReplays == 0 || frameReplays == 0 {
+		t.Errorf("memo runs replayed %d zones and %d frames, want both > 0", zoneReplays, frameReplays)
+	}
 }
 
 // TestZonedFastPathKeyInvalidation: changing the operating point
 // between calls must invalidate every memo — same pixels, different
-// budget, different answers, still matching the reference walk.
+// budget, no replay, different answers, still matching the memo-off
+// oracle. Repeating the last budget must then replay.
 func TestZonedFastPathKeyInvalidation(t *testing.T) {
 	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 4, Cols: 4})
 	if err != nil {
@@ -156,29 +192,44 @@ func TestZonedFastPathKeyInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgets := []float64{10, 4, 10, 25}
 	eng := NewEngine(EngineOptions{Workers: 1})
-	ref := NewEngine(EngineOptions{Workers: 1})
-	for i, budget := range budgets {
-		opts := Options{MaxDistortionPercent: budget, ExactSearch: true}
-		zr, err := eng.ProcessZoned(context.Background(), img, opts, led)
+	var got []zonedSnapshot
+	call := func(budget float64) (zones, frames int64) {
+		t.Helper()
+		z0, f0 := replayCounts()
+		zr, err := eng.ProcessZoned(context.Background(), img, Options{MaxDistortionPercent: budget, ExactSearch: true}, led)
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
-		got := snapshotZoned(zr)
+		z1, f1 := replayCounts()
+		got = append(got, snapshotZoned(zr))
 		zr.Release()
-
-		prev := SetZonedFastPath(false)
-		zrRef, err := ref.ProcessZoned(context.Background(), img, opts, led)
-		SetZonedFastPath(prev)
-		if err != nil {
-			t.Fatalf("budget %v (ref): %v", budget, err)
+		return z1 - z0, f1 - f0
+	}
+	budgets := []float64{10, 4, 10, 25}
+	for i, budget := range budgets {
+		if z, f := call(budget); i > 0 && (z != 0 || f != 0) {
+			t.Errorf("call %d (budget %v): %d zones and %d frames replayed across an option change", i, budget, z, f)
 		}
-		want := snapshotZoned(zrRef)
-		zrRef.Release()
-
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("call %d (budget %v): fast walk diverged after option change", i, budget)
+	}
+	// A lost pooled state (GC, or the race runtime's dropped puts)
+	// only delays the replay by one call.
+	last := budgets[len(budgets)-1]
+	replayed := false
+	for tries := 0; tries < 8 && !replayed; tries++ {
+		budgets = append(budgets, last)
+		z, f := call(last)
+		replayed = z > 0 && f > 0
+	}
+	if !replayed {
+		t.Error("repeating the last budget never replayed its zones and frame")
+	}
+	// The oracle runs after the memo calls: it shares the state pool
+	// and would invalidate the memo it draws.
+	for i, budget := range budgets {
+		want := oracleWalk(t, 1, []*gray.Image{img}, Options{MaxDistortionPercent: budget, ExactSearch: true}, led)
+		if !reflect.DeepEqual(got[i], want[0]) {
+			t.Errorf("call %d (budget %v): memoized walk diverged from the memo-off oracle", i, budget)
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// Pooled cross-call state for the zoned fast path. The reference walk
-// recomputes every zone from scratch each frame; for video that is
-// almost always wasted work — local-dimming content changes a few
-// zones per frame while the rest are byte-identical. The fast walk
-// keeps, per (geometry, option-key) state object in a sync.Pool:
+// Pooled cross-call state for the zoned walk. Recomputing every zone
+// from scratch each frame is almost always wasted work for video —
+// local-dimming content changes a few zones per frame while the rest
+// are byte-identical — so ProcessZoned keeps, per (geometry,
+// option-key) state object in a sync.Pool:
 //
 //   - a reference copy of each zone's pixels, its histogram and its
 //     analyzed admissible range. A zone whose current pixels compare
@@ -27,7 +27,11 @@
 // call may have recycled. The state seals only after a walk completes
 // (capture-and-invalidate, like video's deltaState): a cancelled or
 // failed run leaves the state unsealed and the next acquire discards
-// every memo.
+// every memo. Options that cannot be fingerprinted (zonedKeyFor's
+// ok=false) keep nothing across calls: every zone re-analyzes and
+// re-measures, which is the memo-off oracle the equivalence tests run.
+// Under -tags hebscheck every replaying zone re-solves its plan
+// uncached and asserts it equals the memoized one (checkReplay).
 package core
 
 import (
@@ -37,28 +41,15 @@ import (
 	"math"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"hebs/internal/backlight"
 	"hebs/internal/chart"
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
+	"hebs/internal/invariant"
 	"hebs/internal/obs"
-	"hebs/internal/parallel"
 )
-
-// zonedFastPath gates the pooled-state walk (on by default).
-var zonedFastPath atomic.Bool
-
-func init() { zonedFastPath.Store(true) }
-
-// SetZonedFastPath enables or disables the zoned fast path and returns
-// the previous setting. The slow setting routes ProcessZoned through
-// the from-scratch reference walk; it exists for the equivalence suite
-// and A/B benchmarking. Safe for concurrent use; toggling affects
-// subsequent ProcessZoned calls only.
-func SetZonedFastPath(on bool) bool { return zonedFastPath.Swap(on) }
 
 // zonedOptKey fingerprints every Options field and the backend
 // identity the memoized per-zone values depend on: the range search
@@ -120,7 +111,7 @@ type zoneSlot struct {
 	before backlight.ZonePower
 }
 
-// zonedState is the pooled cross-call state of the fast walk.
+// zonedState is the pooled cross-call state of the zoned walk.
 type zonedState struct {
 	w, h       int
 	rows, cols int
@@ -235,189 +226,23 @@ func (st *zonedState) canReplay(k int) bool {
 	return st.unchanged[k] && z.mValid && z.plan != nil && z.mRng == st.rngs[k] && z.mBeta == st.betas[k]
 }
 
-// processZonedFast is the pooled-state walk. Identical outputs to
-// processZonedRef on every input (TestZonedFastPathEquivalence pins
-// this), with three certified shortcuts: unchanged zones skip
-// analysis, operating-point-stable zones replay measurements, and
-// all-replay frames replay the frame distortion.
-func (e *Engine) processZonedFast(ctx context.Context, sp *obs.Span, img *gray.Image, opts Options, b backlight.Backend, g backlight.Grid, segments int, metric chart.Metric) (*ZonedResult, error) {
-	zones := g.Zones()
-	key, keyOK := zonedKeyFor(opts, segments, b)
-	st := acquireZonedState(img, g, key, keyOK)
-	sealed := false
-	defer func() {
-		st.sealed = sealed
-		zonedStatePool.Put(st)
-	}()
-
-	// Phase A — per-zone analysis. A zone byte-identical to its
-	// reference copy keeps its histogram and range; a changed zone
-	// recopies, re-searches, re-bins, and drops its measurement memo.
-	err := parallel.ForEach(ctx, zones, e.workers, func(k int) error {
-		z := &st.slots[k]
-		if z.valid && equalRect(img, z.img, z.x0, z.y0) {
-			st.unchanged[k] = true
-			mZonedZoneSkips.Inc()
-			return nil
-		}
-		st.unchanged[k] = false
-		z.valid = false
-		z.mValid = false
-		z.plan = nil
-		copyRect(img, z.img, z.x0, z.y0)
-		r, _, err := e.selectRangeZone(ctx, z.img, opts, z.scratch)
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		histogram.OfInto(z.img, &z.hist)
-		z.r = r
-		z.valid = true
-		mZonedZoneRebins.Inc()
-		return nil
-	})
+// checkReplay is the hebscheck self-check of a replaying zone: it
+// re-solves the zone's plan uncached from the slot histogram at this
+// frame's range and asserts that the memoized plan it is about to
+// replay has the same Λ, range and β. A solve error (cancellation) is
+// returned, not asserted.
+func (st *zonedState) checkReplay(ctx context.Context, sp *obs.Span, k, segments int, opts Options) error {
+	z := &st.slots[k]
+	csp := sp.Child("core.zone_replay_check")
+	defer csp.End()
+	plan, err := planFromHistogramCtx(ctx, csp, &z.hist, st.rngs[k], segments,
+		opts.Driver, opts.Equalizer, opts.ClipFactor)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: zone %d replay check: %w", k, err)
 	}
-
-	// Phase B — the serial β-field pass (shared with the reference
-	// walk). Cheap, floor-dependent, deterministic: always recomputed.
-	for k := range st.slots {
-		st.rs[k] = st.slots[k].r
-	}
-	sweeps, maxGrad, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Frame-level replay decision, before the fan-out: only when every
-	// zone replays is the reconstruction (and hence the frame metric)
-	// identical to the memoized run, letting the recon buffer be
-	// skipped entirely.
-	replayAll := st.frameValid
-	if replayAll {
-		for k := range st.slots {
-			if !st.canReplay(k) {
-				replayAll = false
-				break
-			}
-		}
-	}
-
-	// Phase C — per-zone Plan/Apply/measure. Replaying zones remap Λ
-	// from the memoized plan (the output buffer is always written
-	// fresh) and reuse their stored measurements; computing zones run
-	// the full stage and store the memo.
-	out := e.getGray(img.W, img.H)
-	var recon *gray.Image
-	if !replayAll {
-		recon = e.getGray(img.W, img.H)
-		defer e.putGray(recon)
-	}
-	results := make([]ZoneResult, zones)
-	err = parallel.ForEach(ctx, zones, e.workers, func(k int) error {
-		z := &st.slots[k]
-		if st.canReplay(k) {
-			if err := applyLUTRect(z.plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
-				return err
-			}
-			if recon != nil {
-				reconLUT, err := z.plan.reconstruction()
-				if err != nil {
-					return err
-				}
-				if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
-					return err
-				}
-			}
-			r := z.res
-			r.PlanCached = true
-			results[k] = r
-			st.befores[k] = z.before
-			mZonedZoneReplays.Inc()
-			return nil
-		}
-		zsp := sp.Child("engine.zone")
-		defer zsp.End()
-		zsp.SetInt("zone", k)
-		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments,
-			opts.Driver, opts.Equalizer, opts.ClipFactor)
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		if err := applyLUTRect(plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
-			return err
-		}
-		reconLUT, err := plan.reconstruction()
-		if err != nil {
-			return err
-		}
-		if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
-			return err
-		}
-		// The zone's own reconstruction is a rectangle of the frame
-		// recon just written — copy it out instead of remapping again.
-		copyRect(recon, z.scratch, z.x0, z.y0)
-		d, err := metric(z.img, z.scratch)
-		if err != nil {
-			return fmt.Errorf("core: zone %d distortion: %w", k, err)
-		}
-		total := len(img.Pix)
-		before, err := b.ZonePower(1, backlight.ContentOfRect(img, z.x0, z.y0, z.x1, z.y1, total))
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		after, err := b.ZonePower(st.betas[k], backlight.ContentOfRect(out, z.x0, z.y0, z.x1, z.y1, total))
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
-		}
-		st.befores[k] = before
-		results[k] = ZoneResult{
-			Zone: k, X0: z.x0, Y0: z.y0, X1: z.x1, Y1: z.y1,
-			Range: st.rngs[k], TargetBeta: st.targets[k], Beta: st.betas[k],
-			Distortion: d, PlanCached: cached, Power: after,
-		}
-		if st.keyOK {
-			z.plan = plan
-			z.mRng = st.rngs[k]
-			z.mBeta = st.betas[k]
-			z.res = results[k]
-			z.before = before
-			z.mValid = true
-		}
-		zsp.SetInt("range", st.rngs[k])
-		zsp.SetFloat("beta", st.betas[k])
-		return nil
-	})
-	if err != nil {
-		e.putGray(out)
-		return nil, err
-	}
-
-	res := &ZonedResult{
-		Original:     img,
-		Transformed:  out,
-		Backend:      b.Name(),
-		Grid:         g,
-		Zones:        results,
-		SmoothSweeps: sweeps,
-		eng:          e,
-	}
-	if replayAll {
-		res.AchievedDistortion = st.frameDist
-		mZonedFrameReplays.Inc()
-		sp.SetBool("zoned_frame_replay", true)
-	} else {
-		res.AchievedDistortion, err = metric(img, recon)
-		if err != nil {
-			res.Release()
-			return nil, err
-		}
-		if st.keyOK {
-			st.frameDist = res.AchievedDistortion
-			st.frameValid = true
-		}
-	}
-	finalizeZoned(res, st.befores, st.targets, st.betas, g, maxGrad, sweeps, sp)
-	sealed = true
-	return res, nil
+	//hebslint:allow floateq a certified replay reproduces the solve bit for bit
+	same := *plan.Lambda == *z.plan.Lambda && plan.Range == z.plan.Range && plan.Beta == z.plan.Beta
+	invariant.Assert(same, "core: zone %d replayed plan (R=%d β=%v) differs from its uncached re-solve (R=%d β=%v)",
+		k, z.plan.Range, z.plan.Beta, plan.Range, plan.Beta)
+	return nil
 }
