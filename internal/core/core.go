@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"hebs/internal/chart"
@@ -94,6 +95,43 @@ type Options struct {
 	// violate the distortion budget). Length must equal the backend's
 	// zone count. Ignored by the global pipeline.
 	ZoneBetaFloor []float64
+}
+
+// OptionsKey fingerprints the Options fields a frame's range
+// selection, plan and measurements depend on, so cross-call memos (the
+// video scheduler's delta state, the zoned walk's zone state) can tell
+// whether a memo still applies. Trace is pure observability and the
+// zone β-field inputs are recomputed every call, so neither is part of
+// the key.
+type OptionsKey struct {
+	maxDist   float64
+	dynRange  int
+	exact     bool
+	worstCase bool
+	curve     *chart.Curve
+	segments  int    // resolved: 0 and the default source count match
+	clipBits  uint64 // math.Float64bits(ClipFactor): comparable, NaN-proof
+	eq        Equalizer
+	drv       *driver.Config
+	sub       *power.Subsystem
+}
+
+// KeyFor builds the options fingerprint. ok is false when the options
+// cannot be fingerprinted — a custom Metric func is not comparable —
+// and then no memo may survive across calls.
+func KeyFor(opts Options) (key OptionsKey, ok bool) {
+	return OptionsKey{
+		maxDist:   opts.MaxDistortionPercent,
+		dynRange:  opts.DynamicRange,
+		exact:     opts.ExactSearch,
+		worstCase: opts.WorstCase,
+		curve:     opts.Curve,
+		segments:  resolveSegments(opts.Segments),
+		clipBits:  math.Float64bits(opts.ClipFactor),
+		eq:        opts.Equalizer,
+		drv:       opts.Driver,
+		sub:       opts.Subsystem,
+	}, opts.Metric == nil
 }
 
 // DefaultZoneMaxGradient is the zone-boundary |Δβ| bound ProcessZoned

@@ -1,15 +1,17 @@
-// The Plan/Apply engine: the pipeline of Figure 4 split into three
-// reusable stages with explicit scratch-state ownership.
+// The engine: the pipeline of Figure 4 with explicit scratch-state
+// ownership. Engine.Process is the one per-frame entry point, and its
+// three stages are internal to it:
 //
-//   - Analyze: histogram extraction + admissible-range selection
-//     (step 1, Section 3) — per-image, cheap, cancellable.
+//   - Analyze: admissible-range selection (step 1, Section 3) plus
+//     histogram extraction — per-image, cheap, cancellable.
 //   - Plan: Φ equalization (Eq. 5–7), PLC coarsening (Eq. 9), β and the
 //     PLRD driver program (Eq. 10) — pure and image-size-independent:
 //     it depends only on the histogram, so identical histograms yield
 //     identical plans and the shared plan cache (plancache.go) makes
 //     steady-state video planning free.
-//   - Apply: the per-pixel Λ remap into caller- or pool-provided
-//     buffers — the only stage that touches pixel data.
+//   - Apply: the per-pixel Λ remap into a pooled buffer — the only
+//     stage that touches pixel data — followed by the distortion and
+//     power measurements.
 //
 // An Engine owns sync.Pool-backed frame buffers, pooled histograms and
 // the plan cache, and threads context.Context through every stage so
@@ -69,8 +71,8 @@ func validateOptions(opts Options) error {
 // EngineOptions configures a new Engine.
 type EngineOptions struct {
 	// PlanCacheSize switches plan caching: a negative value disables it
-	// (every PlanFor recomputes, emitting the full equalize/plc span
-	// set); any other value joins the process-wide sharded cache,
+	// (every Process recomputes its plan, emitting the full equalize/plc
+	// span set); any other value joins the process-wide sharded cache,
 	// shared across zones, engines and clips with exact-match
 	// verification (plancache.go). The cache is sized globally, so the
 	// magnitude is ignored.
@@ -145,13 +147,18 @@ func (e *Engine) Workers() int { return e.workers }
 // so every error an annotated function can return on its guard paths
 // is constructed once here.
 var (
-	errNilImage            = errors.New("core: nil image")
-	errNilColorImage       = errors.New("core: nil color image")
-	errApplyNilPlan        = errors.New("core: Apply with nil plan")
-	errApplyColorNilPlan   = errors.New("core: ApplyColor with nil plan")
-	errAnalyzeApplyNilHist = errors.New("core: AnalyzeApply with nil histogram")
-	errFusedApplyNilHist   = errors.New("core: FusedApply with nil histogram")
+	errNilImage      = errors.New("core: nil image")
+	errNilColorImage = errors.New("core: nil color image")
 )
+
+// resolveSegments maps Options.Segments to the PLC budget m: 0 selects
+// the default driver's source count. A result below 1 is invalid.
+func resolveSegments(n int) int {
+	if n == 0 {
+		return driver.DefaultConfig.Sources
+	}
+	return n
+}
 
 // segmentBudgetError formats the out-of-range segment diagnostic in
 // its own (never-inlined) frame so the fmt boxing does not count as an
@@ -263,11 +270,6 @@ func (e *Engine) putHist(h *histogram.Histogram) {
 	e.histPool.Put(h)
 }
 
-// ReleaseImage returns a buffer obtained from Apply (or any
-// engine-produced image the caller is done with) to the engine pool.
-// The image must not be used after release.
-func (e *Engine) ReleaseImage(img *gray.Image) { e.putGray(img) }
-
 // Release returns the result's pooled buffers (the transformed frame)
 // to the engine that produced it. The result's Transformed field is
 // nil afterwards and the result must not be reused. Release on a
@@ -305,35 +307,6 @@ func (r *ColorResult) Release() {
 		r.Result.Original = nil
 	}
 	r.Result.Release()
-}
-
-// Analysis is the output of the Analyze stage: the frame's histogram
-// (pool-owned — call Release when done) and the chosen operating
-// point of step 1.
-type Analysis struct {
-	// Histogram is the 256-bin marginal distribution of the frame.
-	Histogram *histogram.Histogram
-	// Range is the admissible dynamic range R.
-	Range int
-	// PredictedDistortion is the step-1 promise (0 in direct
-	// DynamicRange mode).
-	PredictedDistortion float64
-
-	eng *Engine
-}
-
-// Release returns the pooled histogram to the engine. The Analysis
-// must not be used afterwards.
-func (a *Analysis) Release() {
-	if a == nil || a.eng == nil {
-		return
-	}
-	eng := a.eng
-	a.eng = nil
-	if a.Histogram != nil {
-		eng.putHist(a.Histogram)
-		a.Histogram = nil
-	}
 }
 
 // reconForRange returns the reconstruction LUT of linear compression
@@ -446,62 +419,10 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 	return r, predicted, err
 }
 
-// analyzeStages runs range selection and histogram extraction as
-// children of sp, returning a pool-owned histogram.
-func (e *Engine) analyzeStages(ctx context.Context, sp *obs.Span, img *gray.Image, opts Options) (r int, predicted float64, h *histogram.Histogram, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, nil, err
-	}
-	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err = e.selectRange(ctx, img, opts, nil)
-	if opts.DynamicRange != 0 && err == nil {
-		// A forced range is a lookup, not a search: it keeps its span so
-		// the trace shows every Figure 4 stage, but only range decisions
-		// feed the latency histogram. The video scheduler searches in
-		// SelectRange and re-runs Process at the governed range, so each
-		// searched frame records one sample, not two.
-		rsDone.sp.End()
-	} else {
-		rsDone.end(err)
-	}
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, 0, nil, err
-	}
-	_, histDone := stage(sp, stageHistogram)
-	h = e.getHist()
-	histogram.OfIntoShards(img, h, e.workers)
-	histDone.end(nil)
-	return r, predicted, h, nil
-}
-
-// Analyze runs the Analyze stage alone: histogram extraction plus the
-// D_max → R range selection of step 1. Release the returned Analysis
-// when done with its histogram.
-func (e *Engine) Analyze(ctx context.Context, img *gray.Image, opts Options) (*Analysis, error) {
-	if img == nil {
-		return nil, errNilImage
-	}
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	sp, ctx := obs.StartSpanCtx(ctx, "engine.analyze")
-	defer sp.End()
-	r, predicted, h, err := e.analyzeStages(ctx, sp, img, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Analysis{Histogram: h, Range: r, PredictedDistortion: predicted, eng: e}, nil
-}
-
 // planFor computes (or retrieves from the plan cache) the Plan for a
-// histogram at range r, with stage spans as children of parent.
+// histogram at range r and resolved segment budget, with stage spans
+// as children of parent.
 func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (plan *Plan, cached bool, err error) {
-	if segments <= 0 {
-		segments = driver.DefaultConfig.Sources
-	}
 	var hash uint64
 	clipBits := math.Float64bits(clipFactor)
 	if e.planShared != nil {
@@ -522,77 +443,6 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	}
 	return plan, false, nil
 }
-
-// PlanFor runs the Plan stage alone: histogram → Φ → Λ → β → PLRD
-// program, served from the plan cache when the histogram and
-// operating point match a recent solve. Plans are immutable and may
-// be shared; they need no release.
-func (e *Engine) PlanFor(ctx context.Context, h *histogram.Histogram, r int, opts Options) (*Plan, error) {
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	sp, ctx := obs.StartSpanCtx(ctx, "engine.plan")
-	defer sp.End()
-	segments := opts.Segments
-	if segments < 0 {
-		return nil, segmentBudgetError(segments)
-	}
-	plan, _, err := e.planFor(ctx, sp, h, r, segments, opts.Driver, opts.Equalizer, opts.ClipFactor)
-	return plan, err
-}
-
-// Apply runs the Apply stage alone: Λ remapped over img into a pooled
-// frame buffer. Return the buffer with ReleaseImage when done.
-//
-//hebs:noalloc
-func (e *Engine) Apply(ctx context.Context, plan *Plan, img *gray.Image) (*gray.Image, error) {
-	if plan == nil || plan.Lambda == nil {
-		return nil, errApplyNilPlan
-	}
-	if img == nil {
-		return nil, errNilImage
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp, _ := obs.StartSpanCtx(ctx, "engine.apply")
-	defer sp.End()
-	out := e.getGray(img.W, img.H)
-	if err := plan.Lambda.ApplyIntoShards(img, out, e.workers); err != nil {
-		e.putGray(out)
-		return nil, err
-	}
-	return out, nil
-}
-
-// ApplyColor is Apply for a color frame: Λ drives all three channels
-// through the shared source-driver ladder. Release the returned frame
-// with ReleaseColorImage.
-//
-//hebs:noalloc
-func (e *Engine) ApplyColor(ctx context.Context, plan *Plan, img *rgb.Image) (*rgb.Image, error) {
-	if plan == nil || plan.Lambda == nil {
-		return nil, errApplyColorNilPlan
-	}
-	if img == nil {
-		return nil, errNilColorImage
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp, _ := obs.StartSpanCtx(ctx, "engine.apply")
-	defer sp.End()
-	out := e.getRGB(img.W, img.H)
-	if err := img.ApplyLUTIntoShards(plan.Lambda, out, e.workers); err != nil {
-		e.putRGB(out)
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReleaseColorImage returns a buffer obtained from ApplyColor to the
-// engine pool.
-func (e *Engine) ReleaseColorImage(img *rgb.Image) { e.putRGB(img) }
 
 // transformDistortion is chart.TransformDistortion evaluated through
 // the engine's pooled buffers and the plan's cached reconstruction
@@ -616,10 +466,12 @@ func (e *Engine) transformDistortion(img *gray.Image, plan *Plan, metric chart.M
 	return metric(img, displayed)
 }
 
-// Process runs the full HEBS pipeline on an image: Analyze → Plan →
-// Apply plus the distortion and power measurements, with per-stage
-// cancellation via ctx and the transformed frame drawn from the
-// engine pool (call Result.Release to recycle it).
+// Process runs the full HEBS pipeline on an image — Analyze (range
+// selection, histogram) → Plan (cache-served) → Apply → the
+// distortion and power measurements — with per-stage cancellation via
+// ctx and the transformed frame drawn from the engine pool (call
+// Result.Release to recycle it). It is the engine's one per-frame
+// entry point: every classic frame that measures runs through it.
 func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*Result, error) {
 	if img == nil {
 		return nil, errNilImage
@@ -627,10 +479,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	segments := opts.Segments
-	if segments == 0 {
-		segments = driver.DefaultConfig.Sources
-	}
+	segments := resolveSegments(opts.Segments)
 	if segments < 1 {
 		return nil, segmentBudgetError(segments)
 	}
@@ -647,112 +496,33 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	ctx = obs.ContextWithSpan(ctx, sp)
 
 	// Step 1 + histogram extraction (Analyze).
-	r, predicted, h, err := e.analyzeStages(ctx, sp, img, opts)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	_, rsDone := stage(sp, stageRangeSelect)
+	r, predicted, err := e.selectRange(ctx, img, opts, nil)
+	if opts.DynamicRange != 0 && err == nil {
+		// A forced range is a lookup, not a search: it keeps its span so
+		// the trace shows every Figure 4 stage, but only range decisions
+		// feed the latency histogram. The video scheduler searches in
+		// SelectRange and re-runs Process at the governed range, so each
+		// searched frame records one sample, not two.
+		rsDone.sp.End()
+	} else {
+		rsDone.end(err)
+	}
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	_, histDone := stage(sp, stageHistogram)
+	h := e.getHist()
 	defer e.putHist(h)
-	return e.processPlanned(ctx, sp, img, h, r, predicted, segments, sub, opts, false)
-}
+	histogram.OfIntoShards(img, h, e.workers)
+	histDone.end(nil)
 
-// AnalyzeApply is the fused fast path of the video scheduler: the full
-// Plan/Apply/measure pipeline run from a caller-supplied histogram at
-// an already-resolved dynamic range, skipping the per-frame histogram
-// extraction pass (the scheduler's FrameDelta maintains h
-// incrementally) and applying Λ through the word-packed kernel in a
-// single traversal. Whenever h equals histogram.Of(img), the Result is
-// byte-identical to Process with opts.DynamicRange = r (the histogram
-// and the packed apply both carry exact-equality guarantees);
-// PredictedDistortion is 0, as in every direct-range run. h stays
-// caller-owned.
-//
-//hebs:noalloc
-func (e *Engine) AnalyzeApply(ctx context.Context, img *gray.Image, h *histogram.Histogram, r int, opts Options) (*Result, error) {
-	if img == nil {
-		return nil, errNilImage
-	}
-	if h == nil {
-		return nil, errAnalyzeApplyNilHist
-	}
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	segments := opts.Segments
-	if segments == 0 {
-		segments = driver.DefaultConfig.Sources
-	}
-	if segments < 1 {
-		return nil, segmentBudgetError(segments)
-	}
-	sub := power.DefaultSubsystem
-	if opts.Subsystem != nil {
-		sub = *opts.Subsystem
-	}
-	parent := opts.Trace
-	if parent == nil {
-		//hebs:noalloc-allow zero-size spanCtxKey boxing: interface holds zerobase, no runtime allocation
-		parent = obs.SpanFromContext(ctx)
-	}
-	sp := parent.Child("core.AnalyzeApply")
-	defer sp.End()
-	ctx = obs.ContextWithSpan(ctx, sp)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.processPlanned(ctx, sp, img, h, r, 0, segments, sub, opts, true)
-}
-
-// FusedApply is the scheduler's steady-state path for a frame whose
-// measurements are memoized: Plan from the (incrementally maintained)
-// histogram — a plan-cache hit in steady state — then the single
-// word-packed Λ traversal into a pooled frame. No distortion or power
-// measurement runs; the caller reuses the previous identical frame's
-// numbers.
-// Return the frame with ReleaseImage; planCached reports whether the
-// plan came from the plan cache.
-//
-//hebs:noalloc
-func (e *Engine) FusedApply(ctx context.Context, img *gray.Image, h *histogram.Histogram, r int, opts Options) (out *gray.Image, planCached bool, err error) {
-	if img == nil {
-		return nil, false, errNilImage
-	}
-	if h == nil {
-		return nil, false, errFusedApplyNilHist
-	}
-	if err := validateOptions(opts); err != nil {
-		return nil, false, err
-	}
-	parent := opts.Trace
-	if parent == nil {
-		//hebs:noalloc-allow zero-size spanCtxKey boxing: interface holds zerobase, no runtime allocation
-		parent = obs.SpanFromContext(ctx)
-	}
-	sp := parent.Child("core.FusedApply")
-	defer sp.End()
-	ctx = obs.ContextWithSpan(ctx, sp)
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	plan, planCached, err := e.planFor(ctx, sp, h, r, opts.Segments,
-		opts.Driver, opts.Equalizer, opts.ClipFactor)
-	if err != nil {
-		return nil, false, err
-	}
-	_, applyDone := stage(sp, stageApply)
-	out = e.getGray(img.W, img.H)
-	err = plan.Lambda.ApplyIntoPacked(img, out)
-	applyDone.end(err)
-	if err != nil {
-		e.putGray(out)
-		return nil, false, err
-	}
-	return out, planCached, nil
-}
-
-// processPlanned is the shared tail of Process and AnalyzeApply: Plan
-// (cache-served), Apply (sharded or packed), then the distortion/power
-// measurements and run metrics. h must describe img exactly.
-func (e *Engine) processPlanned(ctx context.Context, sp *obs.Span, img *gray.Image, h *histogram.Histogram, r int, predicted float64, segments int, sub power.Subsystem, opts Options, packed bool) (*Result, error) {
 	// Steps 2+3: histogram -> Φ -> Λ (+ the PLRD program) — the Plan
 	// stage, the part the LCD controller computes from its histogram
 	// estimator alone.
@@ -768,11 +538,7 @@ func (e *Engine) processPlanned(ctx context.Context, sp *obs.Span, img *gray.Ima
 	}
 	_, applyDone := stage(sp, stageApply)
 	transformed := e.getGray(img.W, img.H)
-	if packed {
-		err = plan.Lambda.ApplyIntoPacked(img, transformed)
-	} else {
-		err = plan.Lambda.ApplyIntoShards(img, transformed, e.workers)
-	}
+	err = plan.Lambda.ApplyIntoShards(img, transformed, e.workers)
 	applyDone.end(err)
 	if err != nil {
 		e.putGray(transformed)

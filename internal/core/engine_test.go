@@ -12,7 +12,6 @@ import (
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
 	"hebs/internal/rgb"
-	"hebs/internal/sipi"
 )
 
 // TestEngineProcessMatchesLegacy: the pooled engine path must be
@@ -87,8 +86,8 @@ func TestConflictingOptionsRejected(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	if _, err := eng.Analyze(ctx, img, opts); !errors.As(err, &conflict) {
-		t.Fatalf("Analyze: got %v, want ConflictingOptionsError", err)
+	if _, err := eng.Process(ctx, img, opts); !errors.As(err, &conflict) {
+		t.Fatalf("Engine.Process: got %v, want ConflictingOptionsError", err)
 	}
 	if _, err := eng.ProcessBatch(ctx, []*gray.Image{img}, opts); !errors.As(err, &conflict) {
 		t.Fatalf("ProcessBatch: got %v, want ConflictingOptionsError", err)
@@ -98,9 +97,10 @@ func TestConflictingOptionsRejected(t *testing.T) {
 	}
 }
 
-// TestEngineStagesComposeLikeProcess: Analyze → PlanFor → Apply run
-// individually must reproduce Process's transformed frame, and
-// releasing every stage output must drain the pools.
+// TestEngineStagesComposeLikeProcess: Process's internal stages —
+// range selection, histogram, plan, apply — run one by one must
+// reproduce Process's transformed frame, and the pooled buffers must
+// drain.
 func TestEngineStagesComposeLikeProcess(t *testing.T) {
 	img := testImg(t, "baboon")
 	opts := Options{DynamicRange: 150}
@@ -110,73 +110,63 @@ func TestEngineStagesComposeLikeProcess(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	an, err := eng.Analyze(ctx, img, opts)
+	r, _, err := eng.selectRange(ctx, img, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.Range != want.Range {
-		t.Fatalf("Analyze range %d != Process range %d", an.Range, want.Range)
+	if r != want.Range {
+		t.Fatalf("selectRange range %d != Process range %d", r, want.Range)
 	}
-	plan, err := eng.PlanFor(ctx, an.Histogram, an.Range, opts)
+	plan, _, err := eng.planFor(ctx, nil, histogram.Of(img), r, resolveSegments(opts.Segments),
+		opts.Driver, opts.Equalizer, opts.ClipFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *plan.Lambda != *want.Lambda {
-		t.Fatal("PlanFor Λ differs from Process")
+		t.Fatal("planFor Λ differs from Process")
 	}
-	out, err := eng.Apply(ctx, plan, img)
-	if err != nil {
+	out := gray.New(img.W, img.H)
+	if err := plan.Lambda.ApplyIntoShards(img, out, eng.Workers()); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(want.Transformed) {
-		t.Fatal("Apply output differs from Process transformed frame")
+		t.Fatal("applied frame differs from Process transformed frame")
 	}
-	eng.ReleaseImage(out)
-	an.Release()
-	an.Release() // idempotent
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak: %d buffers still in use", inUse)
 	}
 }
 
-// TestEnginePlanCacheSharesPlans: identical histograms at the same
-// operating point must return the same cached *Plan, and a different
-// operating point must miss.
+// TestEnginePlanCacheSharesPlans: a repeated frame at the same
+// operating point must be served the same cached plan (Result.PlanCached,
+// and the very same Λ), a different operating point must not share it,
+// and an engine with caching off must solve afresh every time.
 func TestEnginePlanCacheSharesPlans(t *testing.T) {
 	img := testImg(t, "lena")
-	h := histogram.Of(img)
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	opts := Options{}
-	p1, err := eng.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(e *Engine, r int) *Result {
+		t.Helper()
+		res, err := e.Process(ctx, img, Options{DynamicRange: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		return res
 	}
-	p2, err := eng.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
+	p1 := run(eng, 150)
+	p2 := run(eng, 150)
+	if !p2.PlanCached || p1.Lambda != p2.Lambda {
+		t.Fatal("same frame and range: plan not served from cache")
 	}
-	if p1 != p2 {
-		t.Fatal("same histogram and range: plan not served from cache")
-	}
-	p3, err := eng.PlanFor(ctx, h, 120, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Fatal("different range must not hit the cache")
+	if p3 := run(eng, 120); p3.Lambda == p1.Lambda {
+		t.Fatal("different range must not share the cached plan")
 	}
 	// Cache disabled: always a fresh plan.
 	nocache := NewEngine(EngineOptions{PlanCacheSize: -1})
-	q1, err := nocache.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := nocache.PlanFor(ctx, h, 150, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1 == q2 {
+	q1 := run(nocache, 150)
+	q2 := run(nocache, 150)
+	if q1.PlanCached || q2.PlanCached || q1.Lambda == q2.Lambda {
 		t.Fatal("disabled cache returned a shared plan")
 	}
 	if *q1.Lambda != *p1.Lambda {
@@ -265,52 +255,5 @@ func TestEngineProcessColorRelease(t *testing.T) {
 	res.Release()
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak after color release: %d buffers in use", inUse)
-	}
-}
-
-func BenchmarkEngineApplyGray(b *testing.B) {
-	img, err := sipi.Generate("lena", 128, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	h := histogram.Of(img)
-	plan, err := eng.PlanFor(ctx, h, 150, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := eng.Apply(ctx, plan, img)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.ReleaseImage(out)
-	}
-}
-
-func BenchmarkEngineApplyRGB(b *testing.B) {
-	base, err := sipi.Generate("lena", 128, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := rgb.FromGray(base)
-	eng := NewEngine(EngineOptions{})
-	ctx := context.Background()
-	h := histogram.Of(base)
-	plan, err := eng.PlanFor(ctx, h, 150, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := eng.ApplyColor(ctx, plan, img)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.ReleaseColorImage(out)
 	}
 }

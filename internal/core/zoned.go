@@ -16,7 +16,7 @@
 // skip re-analysis and replay their certified measurements. Its oracle
 // is the same walk with memoization off — an engine with
 // PlanCacheSize < 0 and a backend whose dynamic type is not
-// comparable, so zonedKeyFor fails and no memo outlives a call
+// comparable, so no memo outlives a call
 // (TestZonedFastPathEquivalence) — plus an independent per-zone oracle
 // built on Engine.Process (TestZonedMatchesPerZoneProcess).
 package core
@@ -28,7 +28,6 @@ import (
 
 	"hebs/internal/backlight"
 	"hebs/internal/chart"
-	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
 	"hebs/internal/invariant"
@@ -139,10 +138,8 @@ func (r *ZonedResult) Release() {
 
 // applyLUTRect remaps src's [x0,x1)×[y0,y1) rectangle through lut into
 // the same rectangle of the full-frame dst — the per-zone Apply hot
-// path. Rows are contiguous subslices fed to the word-packed LUT
-// kernel (8 pixels per memory transaction, byte-identical to the
-// scalar remap on every input), so a full-frame rectangle produces
-// bytes identical to LUT.ApplyIntoShards and LUT.ApplyIntoPacked.
+// path. Each row runs the scalar table lookup of LUT.ApplyInto, so a
+// full-frame rectangle produces bytes identical to LUT.ApplyIntoShards.
 //
 //hebs:noalloc
 func applyLUTRect(lut *transform.LUT, src, dst *gray.Image, x0, y0, x1, y1 int) error {
@@ -158,7 +155,9 @@ func applyLUTRect(lut *transform.LUT, src, dst *gray.Image, x0, y0, x1, y1 int) 
 	for y := y0; y < y1; y++ {
 		row := src.Pix[y*src.W+x0 : y*src.W+x1]
 		out := dst.Pix[y*dst.W+x0 : y*dst.W+x1]
-		gray.ApplyLUTPacked(out, row, (*[transform.Levels]uint8)(lut))
+		for i, p := range row {
+			out[i] = lut[p]
+		}
 	}
 	return nil
 }
@@ -207,10 +206,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	segments := opts.Segments
-	if segments == 0 {
-		segments = driver.DefaultConfig.Sources
-	}
+	segments := resolveSegments(opts.Segments)
 	if segments < 1 {
 		return nil, segmentBudgetError(segments)
 	}
@@ -242,8 +238,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	sp.SetString("backend", b.Name())
 	sp.SetInt("zones", zones)
 
-	key, keyOK := zonedKeyFor(opts, segments, b)
-	st := acquireZonedState(img, g, key, keyOK)
+	st := acquireZonedState(img, g, opts, b)
 	sealed := false
 	defer func() {
 		st.sealed = sealed

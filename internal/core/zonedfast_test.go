@@ -106,9 +106,9 @@ func zonedWalk(t *testing.T, eng *Engine, frames []*gray.Image, opts Options, b 
 	return snaps
 }
 
-// memoOff wraps a backend in a non-comparable value: zonedKeyFor then
-// reports ok=false, so ProcessZoned keeps no memo across calls and
-// every zone re-analyzes and re-measures. Together with a
+// memoOff wraps a backend in a non-comparable value: acquireZonedState
+// then cannot fingerprint the call, so ProcessZoned keeps no memo
+// across calls and every zone re-analyzes and re-measures. Together with a
 // PlanCacheSize < 0 engine this is the memo-off oracle — the one
 // zoned walk with every cross-call shortcut switched off.
 type memoOff struct {

@@ -27,9 +27,10 @@
 // call may have recycled. The state seals only after a walk completes
 // (capture-and-invalidate, like video's deltaState): a cancelled or
 // failed run leaves the state unsealed and the next acquire discards
-// every memo. Options that cannot be fingerprinted (zonedKeyFor's
-// ok=false) keep nothing across calls: every zone re-analyzes and
-// re-measures, which is the memo-off oracle the equivalence tests run.
+// every memo. Options that cannot be fingerprinted (KeyFor's ok=false)
+// or a backend whose dynamic type is not comparable keep nothing across
+// calls: every zone re-analyzes and re-measures, which is the memo-off
+// oracle the equivalence tests run.
 // Under -tags hebscheck every replaying zone re-solves its plan
 // uncached and asserts it equals the memoized one (checkReplay).
 package core
@@ -38,59 +39,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 
 	"hebs/internal/backlight"
-	"hebs/internal/chart"
-	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
 	"hebs/internal/invariant"
 	"hebs/internal/obs"
 )
-
-// zonedOptKey fingerprints every Options field and the backend
-// identity the memoized per-zone values depend on: the range search
-// (budget, mode, curve), the plan operating point (segments, driver,
-// equalizer, clip) and the power model (the backend itself, compared
-// by identity — all shipped backends are pointers). β-field inputs
-// (floors, gradient bound) are deliberately absent: phase B always
-// recomputes, and the measurement memo keys on its output (range, β)
-// instead.
-type zonedOptKey struct {
-	maxDist   float64
-	dynRange  int
-	exact     bool
-	worstCase bool
-	curve     *chart.Curve
-	segments  int
-	clipBits  uint64 // math.Float64bits(ClipFactor): comparable, NaN-proof
-	eq        Equalizer
-	drv       *driver.Config
-	backend   backlight.Backend
-}
-
-// zonedKeyFor builds the option key. ok is false when the options
-// cannot be fingerprinted — a custom Metric func (not comparable) or a
-// backend whose dynamic type is not comparable — in which case no memo
-// survives across calls.
-func zonedKeyFor(opts Options, segments int, b backlight.Backend) (key zonedOptKey, ok bool) {
-	key = zonedOptKey{
-		maxDist:   opts.MaxDistortionPercent,
-		dynRange:  opts.DynamicRange,
-		exact:     opts.ExactSearch,
-		worstCase: opts.WorstCase,
-		curve:     opts.Curve,
-		segments:  segments,
-		clipBits:  math.Float64bits(opts.ClipFactor),
-		eq:        opts.Equalizer,
-		drv:       opts.Driver,
-		backend:   b,
-	}
-	return key, opts.Metric == nil && reflect.TypeOf(b).Comparable()
-}
 
 // zoneSlot is one zone's persistent state across calls.
 type zoneSlot struct {
@@ -116,8 +73,14 @@ type zonedState struct {
 	w, h       int
 	rows, cols int
 	slots      []zoneSlot
-	key        zonedOptKey
-	keyOK      bool
+	// key and backend fingerprint the call the memos belong to: the
+	// options (KeyFor) plus the backend, compared by identity (all
+	// shipped backends are pointers). β-field inputs are absent from
+	// both: phase B always recomputes, and the measurement memo keys on
+	// its output (range, β) instead.
+	key     OptionsKey
+	backend backlight.Backend
+	keyOK   bool
 
 	// sealed marks a state whose memos survived a completed walk; it is
 	// cleared on acquire and restored only after success, so a
@@ -185,19 +148,23 @@ func (st *zonedState) invalidate() {
 }
 
 // acquireZonedState fetches a pooled state and revalidates it against
-// the call's geometry and option key — the deltaState
+// the call's geometry, options and backend — the deltaState
 // fingerprint-and-revalidate pattern. Any mismatch (or an unsealed
 // state from an aborted run) keeps the buffers but drops the memos.
-func acquireZonedState(img *gray.Image, g backlight.Grid, key zonedOptKey, keyOK bool) *zonedState {
+// Options KeyFor cannot fingerprint, or a backend whose dynamic type is
+// not comparable, keep no memo across calls.
+func acquireZonedState(img *gray.Image, g backlight.Grid, opts Options, b backlight.Backend) *zonedState {
+	key, keyOK := KeyFor(opts)
+	keyOK = keyOK && reflect.TypeOf(b).Comparable()
 	st := zonedStatePool.Get().(*zonedState)
 	if st.w != img.W || st.h != img.H || st.rows != g.Rows || st.cols != g.Cols || len(st.slots) != g.Zones() {
 		st.configure(img.W, img.H, g)
 		st.invalidate()
-	} else if !st.sealed || !st.keyOK || !keyOK || key != st.key {
+	} else if !st.sealed || !st.keyOK || !keyOK || key != st.key || b != st.backend {
 		st.invalidate()
 	}
 	st.sealed = false
-	st.key, st.keyOK = key, keyOK
+	st.key, st.backend, st.keyOK = key, b, keyOK
 	return st
 }
 

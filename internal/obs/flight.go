@@ -33,9 +33,10 @@ type FrameRecord struct {
 	RangeReused bool `json:"range_reused,omitempty"`
 	CutSnap     bool `json:"cut_snap,omitempty"`
 	SlewLimited bool `json:"slew_limited,omitempty"`
-	// FusedApply reports the delta fast path: the frame's histogram was
-	// maintained incrementally, its measurements were memoized from the
-	// previous identical frame, and Λ ran as one packed traversal.
+	// FusedApply reports a fused delta frame: its pixels were certified
+	// identical to a measured frame at the same applied range, so it
+	// copied that frame's measurements and made no engine call (its
+	// PlanCached is set, as on a zoned replay).
 	FusedApply bool `json:"fused_apply,omitempty"`
 	// TileChangeRatio is changed/total tiles of the delta analysis for
 	// this frame (0 when delta analysis is off or nothing changed).

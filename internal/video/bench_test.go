@@ -103,8 +103,8 @@ func BenchmarkLegacyVideoSteadyState(b *testing.B) {
 // BenchmarkEngineVideoDeltaSteadyState is BenchmarkEngineVideoSteadyState
 // with incremental delta analysis: after the warm-up clip the pooled
 // deltaState's reference matches every frame (the clip is static), so
-// per-frame work collapses to the tile re-hash plus one word-packed LUT
-// traversal. The ns/op ratio against BenchmarkEngineVideoSteadyState is
+// per-frame work collapses to the tile re-hash: every frame is fused
+// and makes no engine call. The ns/op ratio against BenchmarkEngineVideoSteadyState is
 // the fused fast path's speedup on static content.
 func BenchmarkEngineVideoDeltaSteadyState(b *testing.B) {
 	seq := steadyClip(b)

@@ -6,24 +6,22 @@
 //   - ownRange: the frame's own admissible range — skipping the exact
 //     range search, the most expensive per-frame stage.
 //   - meas: the applied-range measurement record (β, distortion, power
-//     saving) — skipping the distortion/power traversals.
+//     saving) — a fused frame copies it and makes no engine call.
 //
 // Both replays are exact: range search and measurement are pure
 // functions of (pixels, options), the checksums certify the pixels,
-// and the options are fingerprinted below. Tile state itself is a pure
-// function of pixels and carries across clips unconditionally; the
-// memoizations are dropped whenever the fingerprint moves (or an
-// uncomparable option like a custom Metric func is in play).
+// and the options are fingerprinted by core.KeyFor. Tile state itself
+// is a pure function of pixels and carries across clips
+// unconditionally; the memoizations are dropped whenever the
+// fingerprint moves (or an uncomparable option like a custom Metric
+// func is in play).
 package video
 
 import (
 	"sync"
 
-	"hebs/internal/chart"
 	"hebs/internal/core"
-	"hebs/internal/driver"
 	"hebs/internal/histogram"
-	"hebs/internal/power"
 )
 
 // deltaMeas is one frame's applied-range measurement record.
@@ -33,47 +31,13 @@ type deltaMeas struct {
 	valid                    bool
 }
 
-// deltaOptKey fingerprints the core.Options fields that influence
-// per-frame range selection and measurement. Trace is excluded (pure
-// observability); Metric cannot be compared (func type), so a non-nil
-// Metric invalidates cross-clip memoization instead.
-type deltaOptKey struct {
-	maxDist    float64
-	dynRange   int
-	exact      bool
-	worstCase  bool
-	curve      *chart.Curve
-	segments   int
-	clipFactor float64
-	eq         core.Equalizer
-	drv        *driver.Config
-	sub        *power.Subsystem
-}
-
-// deltaKeyFor builds the fingerprint; comparable reports whether the
-// options admit cross-clip memoization at all.
-func deltaKeyFor(opts core.Options) (key deltaOptKey, comparable bool) {
-	return deltaOptKey{
-		maxDist:    opts.MaxDistortionPercent,
-		dynRange:   opts.DynamicRange,
-		exact:      opts.ExactSearch,
-		worstCase:  opts.WorstCase,
-		curve:      opts.Curve,
-		segments:   opts.Segments,
-		clipFactor: opts.ClipFactor,
-		eq:         opts.Equalizer,
-		drv:        opts.Driver,
-		sub:        opts.Subsystem,
-	}, opts.Metric == nil
-}
-
 // deltaState is the pooled per-walk incremental-analysis state.
 type deltaState struct {
 	delta    *histogram.FrameDelta
 	ownRange int
 	ownValid bool
 	meas     deltaMeas
-	key      deltaOptKey
+	key      core.OptionsKey
 	keyOK    bool
 }
 
@@ -101,7 +65,7 @@ func acquireDelta(w, h, tileSize int, opts core.Options) (*deltaState, error) {
 		ds.ownValid = false
 		ds.meas = deltaMeas{}
 	}
-	key, comparable := deltaKeyFor(opts)
+	key, comparable := core.KeyFor(opts)
 	if !comparable || !ds.keyOK || key != ds.key {
 		ds.ownValid = false
 		ds.meas = deltaMeas{}

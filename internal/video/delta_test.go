@@ -6,6 +6,7 @@ import (
 
 	"hebs/internal/core"
 	"hebs/internal/gray"
+	"hebs/internal/obs"
 )
 
 // checkSharedEngineAcrossClips runs several clips back to back through
@@ -61,6 +62,56 @@ func TestPipelinedSharedEngineMatchesSerial(t *testing.T) {
 // the reference walk.
 func TestDeltaSharedEngineAcrossClips(t *testing.T) {
 	checkSharedEngineAcrossClips(t, true)
+}
+
+// TestFusedFramesSkipEngine: a fused frame makes no engine call — it
+// neither looks up a plan nor applies Λ — yet counts as a fast-path
+// frame and reports its plan as cached, as a zoned replay does. Every
+// other frame runs Process exactly once.
+func TestFusedFramesSkipEngine(t *testing.T) {
+	reg := obs.Default()
+	hits := reg.Counter("core.plan_cache_hits_total")
+	misses := reg.Counter("core.plan_cache_misses_total")
+	applies := reg.Histogram("core.stage.apply.seconds", nil)
+	fastPath := reg.Counter("video.delta.frames_fastpath_total")
+	fixtures := pipelineFixtures(t)
+	for _, name := range []string{"static", "mixed"} {
+		seq := fixtures[name]
+		for _, workers := range []int{1, 2} {
+			pol := steadyPolicy()
+			pol.DeltaAnalysis, pol.Workers = true, workers
+			rec := obs.NewFlightRecorder(len(seq.Frames))
+			prev := obs.SetFlightRecorder(rec)
+			lookups0, applies0, fast0 := hits.Value()+misses.Value(), applies.Count(), fastPath.Value()
+			_, err := Process(seq, pol)
+			obs.SetFlightRecorder(prev)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			fused := 0
+			for _, fr := range rec.Snapshot() {
+				if fr.FusedApply {
+					fused++
+					if !fr.PlanCached {
+						t.Errorf("%s workers=%d frame %d: fused frame does not report PlanCached", name, workers, fr.Frame)
+					}
+				}
+			}
+			if fused == 0 {
+				t.Fatalf("%s workers=%d: no fused frame; the fixture no longer exercises the fast path", name, workers)
+			}
+			ran := int64(len(seq.Frames) - fused)
+			if got := hits.Value() + misses.Value() - lookups0; got != ran {
+				t.Errorf("%s workers=%d: %d plan lookups, want %d (one per non-fused frame)", name, workers, got, ran)
+			}
+			if got := applies.Count() - applies0; got != ran {
+				t.Errorf("%s workers=%d: %d apply stages, want %d (one per non-fused frame)", name, workers, got, ran)
+			}
+			if got := fastPath.Value() - fast0; got != int64(fused) {
+				t.Errorf("%s workers=%d: fast-path counter moved by %d, want %d fused frames", name, workers, got, fused)
+			}
+		}
+	}
 }
 
 // TestDeltaPolicyValidation: negative tile sizes are rejected, and a

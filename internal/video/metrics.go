@@ -19,8 +19,8 @@ var (
 	mCutsFound   = obs.NewCounter("video.cuts_detected_total")
 
 	// Delta-analysis behaviour: tiles actually re-binned (the
-	// incremental analysis cost) and frames served by the fused
-	// memoized fast path (plan LRU hit + packed apply, no measurement).
+	// incremental analysis cost) and fused frames, which copy memoized
+	// measurements and make no engine call.
 	mTilesRebinned = obs.NewCounter("video.delta.tiles_rebinned_total")
 	mFastPath      = obs.NewCounter("video.delta.frames_fastpath_total")
 

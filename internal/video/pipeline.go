@@ -90,8 +90,8 @@ type frameState struct {
 const minHistFanoutPixels = 1 << 15
 
 // clipState is one clip's pooled scratch: the per-frame states plus
-// the index lists of the frames phase C searches and of phase E's full
-// and fused apply waves.
+// the index lists of the frames phase C searches and of phase E's
+// measuring and fused waves.
 type clipState struct {
 	frames             []frameState
 	search, full, fast []int
@@ -129,10 +129,6 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	eng := pol.Engine
 	if eng == nil {
 		eng = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
-	}
-	sub := power.DefaultSubsystem
-	if pol.Options.Subsystem != nil {
-		sub = *pol.Options.Subsystem
 	}
 	sp := pol.Options.Trace.Child("video.Process")
 	defer sp.End()
@@ -415,24 +411,13 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		if ds != nil {
 			fsp.SetFloat("tile_change_ratio", st[i].tileRatio)
 		}
-		opts := pol.Options
-		opts.Trace = fsp
-		opts.DynamicRange = st[i].applyRange
-		opts.MaxDistortionPercent = 0
-		opts.ExactSearch = false
 		fr := FrameResult{TargetBeta: st[i].target}
-		var planCached bool
+		planCached := st[i].fused
 		if st[i].fused {
-			// Fused fast path: cached plan, one packed Λ traversal, and
-			// the measurements copied from the identity run's head (which
-			// the first apply wave already completed) or the pooled
-			// cross-clip record.
-			out, cached, err := eng.FusedApply(ctx, seq.Frames[i], &st[i].hist, st[i].applyRange, opts)
-			if err != nil {
-				return fmt.Errorf("video: frame %d: %w", i, err)
-			}
-			eng.ReleaseImage(out)
-			planCached = cached
+			// Fused frame: no engine call. Its measurements are copied from
+			// the identity run's head (which the first apply wave already
+			// completed) or the pooled cross-clip record, and it reports
+			// its plan as cached, as a zoned replay does.
 			fsp.SetBool("fused_apply", true)
 			mFastPath.Inc()
 			src := dsMeas
@@ -446,15 +431,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 			fr.Distortion = src.distortion
 			fr.SavingPercent = src.saving
 		} else {
-			var r *core.Result
-			var err error
-			if ds != nil {
-				// The delta fold already holds this frame's histogram;
-				// skip the engine's per-frame extraction pass.
-				r, err = eng.AnalyzeApply(ctx, seq.Frames[i], &st[i].hist, st[i].applyRange, opts)
-			} else {
-				r, err = eng.Process(ctx, seq.Frames[i], opts)
-			}
+			opts := pol.Options
+			opts.Trace = fsp
+			opts.DynamicRange = st[i].applyRange
+			opts.MaxDistortionPercent = 0
+			opts.ExactSearch = false
+			r, err := eng.Process(ctx, seq.Frames[i], opts)
 			if err != nil {
 				if st[i].slew {
 					return fmt.Errorf("video: frame %d (smoothed): %w", i, err)
@@ -464,13 +446,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 			fr.Beta = r.Beta
 			fr.Range = r.Range
 			fr.Distortion = r.AchievedDistortion
+			fr.SavingPercent = r.PowerSavingPercent
 			planCached = r.PlanCached
-			saving, err := sub.SavingPercent(seq.Frames[i], r.Transformed, r.Beta)
 			r.Release()
-			if err != nil {
-				return err
+			if r.PowerBefore <= 0 {
+				return fmt.Errorf("video: frame %d: power: non-positive baseline power %v", i, r.PowerBefore)
 			}
-			fr.SavingPercent = saving
 		}
 		fsp.SetFloat("target_beta", fr.TargetBeta)
 		fsp.SetFloat("applied_beta", fr.Beta)

@@ -124,10 +124,11 @@ type Policy struct {
 	// frame is diffed against the previous one via per-tile checksums,
 	// only changed tiles are re-binned (subtract-stale/add-fresh keeps
 	// the global histogram exactly equal to a from-scratch scan), and a
-	// frame whose pixels did not change at all is served by the fused
-	// fast path — cached plan, one word-packed Λ traversal, memoized
-	// distortion/power numbers. Outputs are byte-identical to a run
-	// with DeltaAnalysis off; see DESIGN.md "Incremental delta analysis".
+	// frame whose pixels did not change at all may be fused: it makes no
+	// engine call and copies the memoized β, distortion and power
+	// numbers. DeltaAnalysis only decides which frames skip work; a
+	// frame that does run is computed exactly as with it off, so outputs
+	// are byte-identical; see DESIGN.md "Incremental delta analysis".
 	DeltaAnalysis bool
 	// TileSize is the delta-analysis tile edge in pixels (0 selects
 	// histogram.DefaultTileSize). Ignored unless DeltaAnalysis is set.

@@ -2,10 +2,12 @@ package video
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hebs/internal/core"
 	"hebs/internal/gray"
+	"hebs/internal/power"
 	"hebs/internal/sipi"
 )
 
@@ -270,6 +272,13 @@ func TestProcessValidation(t *testing.T) {
 	// Options with no budget/range propagate core's validation error.
 	if _, err := Process(seq, Policy{}); err == nil {
 		t.Error("missing budget should error")
+	}
+	// A power model with no baseline power cannot express a saving.
+	for _, delta := range []bool{false, true} {
+		zero := Policy{DeltaAnalysis: delta, Options: core.Options{DynamicRange: 150, Subsystem: &power.Subsystem{}}}
+		if _, err := Process(seq, zero); err == nil || !strings.Contains(err.Error(), "non-positive baseline power") {
+			t.Errorf("delta=%v: zero-power subsystem: got %v, want the non-positive baseline error", delta, err)
+		}
 	}
 }
 
