@@ -66,12 +66,15 @@ bench:
 # writes the stable perf schema (hebsbench -only perf) to $(BENCH_OLD);
 # bench-compare measures fresh numbers into $(BENCH_NEW) and fails on
 # any ns/op growth beyond $(BENCH_TOLERANCE) percent or lost coverage.
-# BENCH_WORKERS=0 measures workers=1 plus workers=NumCPU. ns/op is
+# Every record is measured at workers=1 and at workers=$(BENCH_WORKERS);
+# the pinned default of 4 keeps the record set the same on every host
+# (on a 1- or 2-CPU machine the workers=4 rows measure overhead, not
+# speedup). BENCH_WORKERS=0 selects NumCPU instead. ns/op is
 # hardware-dependent — compare only files produced on the same machine.
 BENCH_OLD ?= BENCH_pipeline.json
 BENCH_NEW ?= BENCH_pipeline.new.json
 BENCH_TOLERANCE ?= 10
-BENCH_WORKERS ?= 0
+BENCH_WORKERS ?= 4
 
 bench-baseline:
 	$(GO) run ./cmd/hebsbench -only perf -workers $(BENCH_WORKERS) -json $(BENCH_OLD)

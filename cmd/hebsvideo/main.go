@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *budget <= 0 {
+	if !(*budget > 0) { // also rejects NaN
 		return fmt.Errorf("budget must be positive, got %v", *budget)
 	}
 	if err := diag.Start(); err != nil {

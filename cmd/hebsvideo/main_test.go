@@ -49,6 +49,7 @@ func TestRunErrors(t *testing.T) {
 		{"-frames", "1"},
 		{"-budget", "0"},
 		{"-budget", "-5"},
+		{"-budget", "NaN"},
 		{"-reuse", "-1"},
 		{"-notaflag"},
 	}

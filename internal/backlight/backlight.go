@@ -68,23 +68,11 @@ type Content struct {
 	Pixels, Total int
 }
 
-// ContentOf summarizes a whole frame: the single global zone's
-// content. The accumulation order matches power.TFTPanel.PowerOf's
-// single pass exactly.
-func ContentOf(img *gray.Image) Content {
-	var sx, sxx float64
-	for _, p := range img.Pix {
-		x := float64(p) / 255.0
-		sx += x
-		sxx += x * x
-	}
-	return Content{SumLuma: sx, SumLumaSq: sxx, Pixels: len(img.Pix), Total: len(img.Pix)}
-}
-
 // ContentOfRect summarizes the [x0,x1)×[y0,y1) rectangle of img as one
 // zone of a panel with `total` pixels. Rows are accumulated top to
-// bottom, pixels left to right, so a full-frame rectangle reproduces
-// ContentOf bit for bit.
+// bottom, pixels left to right, so a full-frame rectangle matches one
+// row-major pass over the frame bit for bit — the accumulation order
+// of power.TFTPanel.PowerOf.
 func ContentOfRect(img *gray.Image, x0, y0, x1, y1, total int) Content {
 	var sx, sxx float64
 	for y := y0; y < y1; y++ {

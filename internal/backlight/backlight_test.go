@@ -9,6 +9,19 @@ import (
 	"hebs/internal/power"
 )
 
+// contentOf summarizes a whole frame in one row-major pass, the
+// accumulation order of power.TFTPanel.PowerOf: the oracle that
+// ContentOfRect must reproduce on a full-frame rectangle.
+func contentOf(img *gray.Image) Content {
+	var sx, sxx float64
+	for _, p := range img.Pix {
+		x := float64(p) / 255.0
+		sx += x
+		sxx += x * x
+	}
+	return Content{SumLuma: sx, SumLumaSq: sxx, Pixels: len(img.Pix), Total: len(img.Pix)}
+}
+
 // testImage builds a deterministic non-uniform frame.
 func testImage(w, h int) *gray.Image {
 	img := gray.New(w, h)
@@ -45,10 +58,10 @@ func TestGridZoneRectPartitions(t *testing.T) {
 
 func TestContentOfRectFullFrameMatchesContentOf(t *testing.T) {
 	img := testImage(33, 21)
-	whole := ContentOf(img)
+	whole := contentOf(img)
 	rect := ContentOfRect(img, 0, 0, img.W, img.H, len(img.Pix))
 	if whole != rect {
-		t.Fatalf("full-frame rect content %+v != ContentOf %+v", rect, whole)
+		t.Fatalf("full-frame rect content %+v != contentOf %+v", rect, whole)
 	}
 }
 
@@ -64,7 +77,7 @@ func TestContentOfRectPartitionSums(t *testing.T) {
 		sxx += c.SumLumaSq
 		pixels += c.Pixels
 	}
-	whole := ContentOf(img)
+	whole := contentOf(img)
 	if pixels != whole.Pixels {
 		t.Fatalf("partition pixel count %d != %d", pixels, whole.Pixels)
 	}
@@ -85,7 +98,7 @@ func TestCCFLBitIdenticalToSubsystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.ZonePower(beta, ContentOf(img))
+		got, err := b.ZonePower(beta, contentOf(img))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +153,7 @@ func TestLEDQuantizeBetaRoundsUp(t *testing.T) {
 
 func TestOLEDPowerContentProportional(t *testing.T) {
 	o := DefaultOLED()
-	dark := ContentOf(gray.New(32, 32)) // all zeros
+	dark := contentOf(gray.New(32, 32)) // all zeros
 	p, err := o.ZonePower(1, dark)
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +165,14 @@ func TestOLEDPowerContentProportional(t *testing.T) {
 	for i := range white.Pix {
 		white.Pix[i] = 255
 	}
-	pw, err := o.ZonePower(1, ContentOf(white))
+	pw, err := o.ZonePower(1, contentOf(white))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(pw.Illumination-DefaultOLEDPeakPower) > 1e-9 {
 		t.Fatalf("white frame emissive power %v, want %v", pw.Illumination, DefaultOLEDPeakPower)
 	}
-	half, err := o.ZonePower(0.5, ContentOf(white))
+	half, err := o.ZonePower(0.5, contentOf(white))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,8 +273,10 @@ func DefaultCurve() (*chart.Curve, error) {
 	return defaultCurve, defaultCurveErr
 }
 
-// selectRange performs step 1: D_max → R.
-func selectRange(img *gray.Image, opts Options) (r int, predicted float64, err error) {
+// selectRange performs step 1 (D_max → R) for the two modes that need
+// no pixels: a direct DynamicRange and the characteristic-curve
+// lookup. Engine.selectRange runs the per-image ExactSearch itself.
+func selectRange(opts Options) (r int, predicted float64, err error) {
 	if opts.DynamicRange != 0 {
 		if opts.DynamicRange < 1 || opts.DynamicRange > transform.Levels-1 {
 			return 0, 0, fmt.Errorf("core: dynamic range %d outside [1,255]", opts.DynamicRange)
@@ -283,17 +285,6 @@ func selectRange(img *gray.Image, opts Options) (r int, predicted float64, err e
 	}
 	if opts.MaxDistortionPercent <= 0 {
 		return 0, 0, errors.New("core: need MaxDistortionPercent > 0 or DynamicRange")
-	}
-	if opts.ExactSearch {
-		r, err = chart.MinRangeExact(img, opts.MaxDistortionPercent, opts.Metric)
-		if err != nil {
-			return 0, 0, err
-		}
-		predicted, err = chart.RangeReductionDistortion(img, r, opts.Metric)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r, predicted, nil
 	}
 	curve := opts.Curve
 	if curve == nil {
@@ -339,19 +330,15 @@ type Plan struct {
 	reconErr  error
 }
 
-// PlanFromHistogram computes the HEBS transform for a target dynamic
-// range directly from a histogram — the runtime path on hardware with
-// a histogram estimator. segments <= 0 selects the default driver
-// source count; drv may be nil to skip voltage programming; eq selects
-// the equalization variant (clipFactor as in Options.ClipFactor).
-func PlanFromHistogram(h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (*Plan, error) {
-	return planFromHistogramCtx(context.Background(), nil, h, r, segments, drv, eq, clipFactor)
-}
-
-// planFromHistogramCtx is PlanFromHistogram with the caller's span as
-// the parent of the stage spans (Process passes its run span) and
-// cooperative cancellation between stages (the PLC DP also checks ctx
-// per outer-loop row, bounding cancellation latency on large solves).
+// planFromHistogramCtx computes the HEBS transform for a target
+// dynamic range directly from a histogram — the runtime path on
+// hardware with a histogram estimator. segments <= 0 selects the
+// default driver source count; drv may be nil to skip voltage
+// programming; eq selects the equalization variant (clipFactor as in
+// Options.ClipFactor). The caller's span parents the stage spans
+// (Process passes its run span), and ctx is checked between stages
+// (the PLC DP also checks it per outer-loop row, bounding cancellation
+// latency on large solves).
 func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (*Plan, error) {
 	if h == nil || h.N == 0 {
 		return nil, errors.New("core: empty histogram")
@@ -479,12 +466,6 @@ type ColorResult struct {
 // reference ladder (Section 2).
 func ProcessColor(img *rgb.Image, opts Options) (*ColorResult, error) {
 	return DefaultEngine().ProcessColor(context.Background(), img, opts)
-}
-
-// ProcessColorContext is ProcessColor with cooperative cancellation
-// between pipeline stages.
-func ProcessColorContext(ctx context.Context, img *rgb.Image, opts Options) (*ColorResult, error) {
-	return DefaultEngine().ProcessColor(ctx, img, opts)
 }
 
 // CompensatedColorPreview renders the color frame as perceived after

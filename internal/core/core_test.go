@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -366,9 +367,11 @@ func TestProcessColor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hi, err := prev.MaxChannelHistogramRange()
-	if err != nil {
-		t.Fatal(err)
+	// Backlight compensation saturates the largest channel first, so
+	// check the brightest channel value anywhere in the frame.
+	var hi uint8
+	for _, v := range prev.Pix {
+		hi = max(hi, v)
 	}
 	if hi < 240 {
 		t.Errorf("compensated preview max channel %d, want near 255", hi)
@@ -382,7 +385,7 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanFromHistogram(histogram.Of(img), 140, 0, &cfg, EqualizerGHE, 0)
+	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 140, 0, &cfg, EqualizerGHE, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,20 +411,20 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 
 func TestPlanFromHistogramValidation(t *testing.T) {
 	h := histogram.Of(testImg(t, "lena"))
-	if _, err := PlanFromHistogram(nil, 100, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, nil, 100, 0, nil, EqualizerGHE, 0); err == nil {
 		t.Error("nil histogram should error")
 	}
-	if _, err := PlanFromHistogram(h, 0, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, h, 0, 0, nil, EqualizerGHE, 0); err == nil {
 		t.Error("range 0 should error")
 	}
-	if _, err := PlanFromHistogram(h, 256, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, h, 256, 0, nil, EqualizerGHE, 0); err == nil {
 		t.Error("range > 255 should error")
 	}
-	if _, err := PlanFromHistogram(h, 100, 0, nil, Equalizer(9), 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, h, 100, 0, nil, Equalizer(9), 0); err == nil {
 		t.Error("unknown equalizer should error")
 	}
 	// No driver: still a valid software plan.
-	plan, err := PlanFromHistogram(h, 100, 4, nil, EqualizerBBHE, 0)
+	plan, err := planFromHistogramCtx(context.Background(), nil, h, 100, 4, nil, EqualizerBBHE, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,9 @@
 //
 // An Engine owns sync.Pool-backed frame buffers, pooled histograms and
 // the plan cache, and threads context.Context through every stage so
-// long runs cancel promptly. The legacy Process/ProcessBatch/
-// ProcessColor entry points delegate to a default Engine whose plan
-// cache is disabled, which keeps their outputs and span trees exactly
-// as before the refactor.
+// long runs cancel promptly. The package-level Process, ProcessContext
+// and ProcessColor delegate to a default Engine whose plan cache is
+// disabled, so every call recomputes and traces the full stage set.
 package core
 
 import (
@@ -55,7 +54,12 @@ func (e *ConflictingOptionsError) Error() string {
 	return fmt.Sprintf("core: DynamicRange %d and ExactSearch are mutually exclusive (a direct range bypasses the per-image search)", e.DynamicRange)
 }
 
-// validateOptions rejects contradictory Options combinations before
+// errNaNBudget rejects a NaN distortion budget: every comparison
+// with NaN is false, so it would slip past the "budget > 0" guard and
+// pick an arbitrary range.
+var errNaNBudget = errors.New("core: MaxDistortionPercent is NaN")
+
+// validateOptions rejects contradictory or meaningless Options before
 // any pipeline work starts. Kept out of line so the error
 // construction on its cold path is not billed to the //hebs:noalloc
 // entry points that inline it.
@@ -64,6 +68,9 @@ func (e *ConflictingOptionsError) Error() string {
 func validateOptions(opts Options) error {
 	if opts.DynamicRange != 0 && opts.ExactSearch {
 		return &ConflictingOptionsError{DynamicRange: opts.DynamicRange}
+	}
+	if math.IsNaN(opts.MaxDistortionPercent) {
+		return errNaNBudget
 	}
 	return nil
 }
@@ -174,11 +181,11 @@ var (
 	defaultEngine     *Engine
 )
 
-// DefaultEngine returns the process-wide Engine backing the legacy
-// Process/ProcessBatch/ProcessColor wrappers. Its plan cache is
-// disabled so every legacy run recomputes (and traces) the full
-// equalize/plc stage set exactly as before the engine refactor;
-// buffer pools are still active but only help callers that Release.
+// DefaultEngine returns the process-wide Engine backing the
+// package-level Process, ProcessContext and ProcessColor. Its plan
+// cache is disabled so every such run recomputes (and traces) the full
+// equalize/plc stage set; buffer pools are still active but only help
+// callers that Release.
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() {
 		defaultEngine = NewEngine(EngineOptions{PlanCacheSize: -1})
@@ -386,15 +393,16 @@ func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistorti
 	return lo, predicted, nil
 }
 
-// selectRange is step 1 (D_max → R) through the engine: identical
-// decisions to the package-level selectRange, with the ExactSearch
-// path run against the per-range reconstruction cache and the probe
-// buffer scratch (nil = pooled; see minRangeExact).
+// selectRange is step 1 (D_max → R) through the engine: the
+// ExactSearch path runs against the per-range reconstruction cache and
+// the probe buffer scratch (nil = pooled; see minRangeExact); every
+// other mode is the package-level selectRange. Callers validate opts
+// first, so a NaN budget never reaches the search.
 func (e *Engine) selectRange(ctx context.Context, img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
 	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
 		return e.minRangeExact(ctx, img, opts.MaxDistortionPercent, opts.Metric, scratch)
 	}
-	return selectRange(img, opts)
+	return selectRange(opts)
 }
 
 // SelectRange runs step 1 alone — the D_max → R admissible-range

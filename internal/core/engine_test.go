@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
-	"hebs/internal/chart"
+	"hebs/internal/backlight"
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
@@ -89,11 +88,31 @@ func TestConflictingOptionsRejected(t *testing.T) {
 	if _, err := eng.Process(ctx, img, opts); !errors.As(err, &conflict) {
 		t.Fatalf("Engine.Process: got %v, want ConflictingOptionsError", err)
 	}
-	if _, err := eng.ProcessBatch(ctx, []*gray.Image{img}, opts); !errors.As(err, &conflict) {
-		t.Fatalf("ProcessBatch: got %v, want ConflictingOptionsError", err)
+}
+
+// TestNaNBudgetRejected: a NaN distortion budget fails every
+// comparison, so without the check it slipped past "budget > 0" and
+// picked an arbitrary range (R=255 with ExactSearch, the curve's
+// smallest range without). Every engine entry point must reject it.
+func TestNaNBudgetRejected(t *testing.T) {
+	img := testImg(t, "lena")
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 2, Cols: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ProcessBatch([]*gray.Image{img}, opts); !errors.As(err, &conflict) {
-		t.Fatalf("legacy ProcessBatch: got %v, want ConflictingOptionsError", err)
+	for _, exact := range []bool{false, true} {
+		opts := Options{MaxDistortionPercent: math.NaN(), ExactSearch: exact}
+		if res, err := eng.Process(ctx, img, opts); err == nil {
+			t.Errorf("exact=%v: Process accepted a NaN budget (R=%d)", exact, res.Range)
+		}
+		if r, _, err := eng.SelectRange(ctx, img, opts); err == nil {
+			t.Errorf("exact=%v: SelectRange accepted a NaN budget (R=%d)", exact, r)
+		}
+		if _, err := eng.ProcessZoned(ctx, img, opts, led); err == nil {
+			t.Errorf("exact=%v: ProcessZoned accepted a NaN budget", exact)
+		}
 	}
 }
 
@@ -187,39 +206,29 @@ func TestEngineProcessCancelledContext(t *testing.T) {
 	}
 }
 
-// TestEngineBatchCancellationMidway cancels the context from inside
-// the distortion metric after a few images: the batch must surface
-// context.Canceled and release every pooled buffer it handed out.
-func TestEngineBatchCancellationMidway(t *testing.T) {
-	var imgs []*gray.Image
-	for _, n := range []string{"lena", "baboon", "housea", "splash", "sail", "peppers"} {
-		imgs = append(imgs, testImg(t, n))
-	}
+// TestEngineProcessCancellationMidway cancels the context from inside
+// the distortion metric, after the transformed frame has been drawn
+// from the pool: Process must surface context.Canceled and hand every
+// pooled buffer back.
+func TestEngineProcessCancellationMidway(t *testing.T) {
 	eng := NewEngine(EngineOptions{PlanCacheSize: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var calls atomic.Int64
 	cancellingMetric := func(a, b *gray.Image) (float64, error) {
-		if calls.Add(1) >= 2 {
-			cancel()
-		}
-		// Surface the cancellation from inside the pipeline so the test
-		// is deterministic regardless of worker scheduling.
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return chart.UQIMetric(a, b)
+		cancel()
+		// Surface the cancellation from inside the pipeline.
+		return 0, ctx.Err()
 	}
 	opts := Options{DynamicRange: 150, Metric: cancellingMetric}
-	res, err := eng.ProcessBatch(ctx, imgs, opts)
+	res, err := eng.Process(ctx, testImg(t, "lena"), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Fatal("cancelled batch must not return results")
+		t.Fatal("cancelled run must not return a result")
 	}
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
-		t.Fatalf("pool leak after cancelled batch: %d buffers in use", inUse)
+		t.Fatalf("pool leak after mid-run cancellation: %d buffers in use", inUse)
 	}
 }
 

@@ -31,8 +31,6 @@ var pipelineStages = []string{
 var (
 	mFramesTotal  = obs.NewCounter("core.frames_total")
 	mColorFrames  = obs.NewCounter("core.color_frames_total")
-	mBatchesTotal = obs.NewCounter("core.batches_total")
-	mBatchImages  = obs.NewCounter("core.batch_images_total")
 	mCurveLookups = obs.NewCounter("core.default_curve_lookups_total")
 	mCurveBuilds  = obs.NewCounter("core.default_curve_builds_total")
 

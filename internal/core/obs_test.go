@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hebs/internal/driver"
-	"hebs/internal/gray"
 	"hebs/internal/obs"
 	"hebs/internal/sipi"
 )
@@ -202,44 +201,5 @@ func TestDefaultCurveHitCounters(t *testing.T) {
 	}
 	if lookups-builds < 1 {
 		t.Errorf("expected at least one cache hit (lookups=%d builds=%d)", lookups, builds)
-	}
-}
-
-func TestBatchSpansNestUnderBatch(t *testing.T) {
-	c := withCollector(t)
-	imgs := make([]*gray.Image, 3)
-	for i := range imgs {
-		img, err := sipi.Generate("splash", 24, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imgs[i] = img
-	}
-	if _, err := ProcessBatch(imgs, Options{DynamicRange: 140}); err != nil {
-		t.Fatal(err)
-	}
-	var batchID uint64
-	for _, s := range c.Spans() {
-		if s.Name == "core.ProcessBatch" {
-			batchID = s.ID
-			if s.Attrs["images"] != 3 {
-				t.Errorf("batch attrs = %v, want images=3", s.Attrs)
-			}
-		}
-	}
-	if batchID == 0 {
-		t.Fatal("no core.ProcessBatch span")
-	}
-	runs := 0
-	for _, s := range c.Spans() {
-		if s.Name == "core.Process" {
-			runs++
-			if s.Parent != batchID {
-				t.Errorf("worker run parented under %d, want batch (%d)", s.Parent, batchID)
-			}
-		}
-	}
-	if runs != 3 {
-		t.Errorf("batch emitted %d run spans, want 3", runs)
 	}
 }

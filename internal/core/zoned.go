@@ -155,6 +155,7 @@ func applyLUTRect(lut *transform.LUT, src, dst *gray.Image, x0, y0, x1, y1 int) 
 	for y := y0; y < y1; y++ {
 		row := src.Pix[y*src.W+x0 : y*src.W+x1]
 		out := dst.Pix[y*dst.W+x0 : y*dst.W+x1]
+		out = out[:len(row)] // hoists the bounds check out of the loop
 		for i, p := range row {
 			out[i] = lut[p]
 		}

@@ -113,17 +113,6 @@ func Solve(h *histogram.Histogram, gmin, gmax int) (*Result, error) {
 	return res, nil
 }
 
-// SolveCtx is Solve with cooperative cancellation: the context is
-// checked before the solve starts (the closed-form CDF remap itself is
-// microseconds, so a single entry check suffices). A cancelled context
-// returns ctx.Err() without touching the solve counters.
-func SolveCtx(ctx context.Context, h *histogram.Histogram, gmin, gmax int) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Solve(h, gmin, gmax)
-}
-
 // SolveRange is the HEBS-flavoured entry point: equalize onto [0, R]
 // so that the follow-on contrast compensation can spread R levels over
 // the full panel swing and the backlight dims to β = R/255.
@@ -134,8 +123,11 @@ func SolveRange(h *histogram.Histogram, r int) (*Result, error) {
 	return Solve(h, 0, r)
 }
 
-// SolveRangeCtx is SolveRange with cooperative cancellation (see
-// SolveCtx).
+// SolveRangeCtx is SolveRange with cooperative cancellation: the
+// context is checked before the solve starts (the closed-form CDF
+// remap itself is microseconds, so a single entry check suffices). A
+// cancelled context returns ctx.Err() without touching the solve
+// counters.
 func SolveRangeCtx(ctx context.Context, h *histogram.Histogram, r int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -132,27 +132,6 @@ func (h *Histogram) Percentile(q float64) (int, error) {
 	return Levels - 1, nil
 }
 
-// ClippedRange returns the [lo, hi] level interval that remains after
-// discarding a fraction clip of the pixel mass from each tail. This is
-// the truncation step of the CBCS baseline [5].
-func (h *Histogram) ClippedRange(clip float64) (lo, hi int, err error) {
-	if clip < 0 || clip >= 0.5 {
-		return 0, 0, fmt.Errorf("histogram: clip fraction %v out of [0,0.5)", clip)
-	}
-	lo, err = h.Percentile(clip)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = h.Percentile(1 - clip)
-	if err != nil {
-		return 0, 0, err
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi, nil
-}
-
 // Uniform returns the cumulative uniform target histogram U of the GHE
 // problem: U(v) = 0 for v < gmin, N·(v-gmin)/(gmax-gmin) on
 // [gmin, gmax], and N above gmax (footnote 3 of the paper).
@@ -193,25 +172,6 @@ func L1CDFDistance(a, b [Levels]float64, n int) float64 {
 		sum += d
 	}
 	return sum / float64(n)
-}
-
-// EarthMoverDistance computes the 1-D earth mover's (Wasserstein-1)
-// distance between two histograms with equal mass, in level units.
-func EarthMoverDistance(a, b *Histogram) (float64, error) {
-	if a.N != b.N {
-		return 0, fmt.Errorf("histogram: EMD requires equal mass (%d vs %d)", a.N, b.N)
-	}
-	carry := 0
-	total := 0
-	for v := 0; v < Levels; v++ {
-		carry += a.Bins[v] - b.Bins[v]
-		if carry < 0 {
-			total -= carry
-		} else {
-			total += carry
-		}
-	}
-	return float64(total) / float64(a.N), nil
 }
 
 // Flatness measures how close the histogram is to uniform over its

@@ -102,35 +102,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestClippedRange(t *testing.T) {
-	h := Of(ramp())
-	lo, hi, err := h.ClippedRange(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo < 20 || lo > 30 || hi < 225 || hi > 235 {
-		t.Errorf("clipped range [%d,%d], want ~[25,230]", lo, hi)
-	}
-	if _, _, err := h.ClippedRange(0.5); err == nil {
-		t.Error("clip = 0.5 should error")
-	}
-	if _, _, err := h.ClippedRange(-0.1); err == nil {
-		t.Error("negative clip should error")
-	}
-}
-
-func TestClippedRangeDegenerate(t *testing.T) {
-	m := gray.New(4, 1)
-	m.Fill(80)
-	lo, hi, err := Of(m).ClippedRange(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 80 || hi != 80 {
-		t.Errorf("constant image clipped to [%d,%d], want [80,80]", lo, hi)
-	}
-}
-
 func TestUniform(t *testing.T) {
 	u, err := Uniform(1000, 50, 150)
 	if err != nil {
@@ -174,43 +145,6 @@ func TestL1CDFDistance(t *testing.T) {
 	}
 	if d := L1CDFDistance(a, c, 0); d != 0 {
 		t.Errorf("n=0 distance = %v, want 0", d)
-	}
-}
-
-func TestEarthMoverDistance(t *testing.T) {
-	m1 := gray.New(4, 1)
-	m1.Fill(10)
-	m2 := gray.New(4, 1)
-	m2.Fill(20)
-	d, err := EarthMoverDistance(Of(m1), Of(m2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 10 {
-		t.Errorf("EMD = %v, want 10 (shift by 10 levels)", d)
-	}
-	self, _ := EarthMoverDistance(Of(m1), Of(m1))
-	if self != 0 {
-		t.Errorf("EMD to self = %v, want 0", self)
-	}
-	m3 := gray.New(5, 1)
-	if _, err := EarthMoverDistance(Of(m1), Of(m3)); err == nil {
-		t.Error("unequal mass should error")
-	}
-}
-
-func TestEMDSymmetry(t *testing.T) {
-	f := func(p1, p2 [8]byte) bool {
-		a := gray.New(8, 1)
-		b := gray.New(8, 1)
-		copy(a.Pix, p1[:])
-		copy(b.Pix, p2[:])
-		d1, e1 := EarthMoverDistance(Of(a), Of(b))
-		d2, e2 := EarthMoverDistance(Of(b), Of(a))
-		return e1 == nil && e2 == nil && math.Abs(d1-d2) < 1e-12 && d1 >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

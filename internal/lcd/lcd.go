@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hebs/internal/backlight"
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/power"
@@ -42,11 +41,6 @@ type Config struct {
 	Driver driver.Config
 	// Power is the electrical model of lamp and panel.
 	Power power.Subsystem
-	// Backlight selects the illumination backend. nil keeps the classic
-	// global CCFL lamp of Power (the byte-identical legacy path); a
-	// zoned backend additionally enables LoadZonedPrograms, with one
-	// PLRD program and one backlight factor per zone.
-	Backlight backlight.Backend
 }
 
 // DefaultConfig is a QVGA panel with the paper's LP064V1 power model.
@@ -82,9 +76,7 @@ func (c Config) validate() error {
 type Display struct {
 	cfg         Config
 	frameBuffer *gray.Image
-	program     *driver.Program
-	bank        *driver.Bank // non-nil while zoned programs are loaded
-	beta        float64
+	program     *driver.Program // its Beta is the backlight factor
 
 	frames      int
 	totalEnergy float64 // joules
@@ -100,7 +92,6 @@ func New(cfg Config) (*Display, error) {
 	d := &Display{
 		cfg:         cfg,
 		frameBuffer: gray.New(cfg.Width, cfg.Height),
-		beta:        1,
 	}
 	prog, err := driver.ProgramHierarchical(cfg.Driver,
 		[]transform.Point{{X: 0, Y: 0}, {X: transform.Levels - 1, Y: transform.Levels - 1}}, 1)
@@ -122,47 +113,12 @@ func (d *Display) LoadProgram(prog *driver.Program) error {
 		return fmt.Errorf("lcd: program backlight factor %v outside (0,1]", prog.Beta)
 	}
 	d.program = prog
-	d.bank = nil
-	d.beta = prog.Beta
 	return nil
 }
 
-// LoadZonedPrograms installs one PLRD program per backlight zone — the
-// atomic reconfiguration step of a locally-dimmed panel. It requires a
-// zone-capable Backlight backend whose grid matches the bank's.
-func (d *Display) LoadZonedPrograms(bank *driver.Bank) error {
-	if bank == nil {
-		return errors.New("lcd: nil program bank")
-	}
-	if d.cfg.Backlight == nil {
-		return errors.New("lcd: zoned programs need a Backlight backend")
-	}
-	g := d.cfg.Backlight.Grid()
-	if bank.Rows != g.Rows || bank.Cols != g.Cols {
-		return fmt.Errorf("lcd: bank grid %dx%d does not match backlight grid %dx%d",
-			bank.Rows, bank.Cols, g.Rows, g.Cols)
-	}
-	if g.Rows > d.cfg.Height || g.Cols > d.cfg.Width {
-		return fmt.Errorf("lcd: backlight grid %dx%d exceeds panel %dx%d",
-			g.Rows, g.Cols, d.cfg.Width, d.cfg.Height)
-	}
-	d.bank = bank
-	d.program = bank.Programs[0]
-	// Beta() reports the mean zone factor while zoned.
-	sum := 0.0
-	for _, b := range bank.Betas() {
-		sum += b
-	}
-	d.beta = sum / float64(bank.Zones())
-	return nil
-}
-
-// Beta returns the current backlight scaling factor — the mean zone
-// factor while zoned programs are loaded.
-func (d *Display) Beta() float64 { return d.beta }
-
-// Zoned reports whether per-zone programs are currently loaded.
-func (d *Display) Zoned() bool { return d.bank != nil }
+// Beta returns the current backlight scaling factor, set by the last
+// LoadProgram (1 at power-up).
+func (d *Display) Beta() float64 { return d.program.Beta }
 
 // FrameBuffer returns a snapshot of the current frame-buffer contents.
 func (d *Display) FrameBuffer() *gray.Image { return d.frameBuffer.Clone() }
@@ -182,9 +138,6 @@ type Frame struct {
 	TotalPower float64
 	// Energy is TotalPower over one refresh period (joules).
 	Energy float64
-	// ZoneBetas lists the per-zone backlight factors that produced this
-	// frame (nil when a single global program is loaded).
-	ZoneBetas []float64
 }
 
 // ShowFrame writes a frame through the video controller into the frame
@@ -208,16 +161,13 @@ func (d *Display) ShowFrame(img *gray.Image) (*Frame, error) {
 func (d *Display) Refresh() (*Frame, error) { return d.refresh() }
 
 func (d *Display) refresh() (*Frame, error) {
-	if d.bank != nil {
-		return d.zonedRefresh()
-	}
 	lut, err := d.program.DisplayedLUT()
 	if err != nil {
 		return nil, err
 	}
 	lum := lut.Apply(d.frameBuffer)
 
-	illum, err := d.illuminationPower(d.beta, lum)
+	illum, err := d.cfg.Power.CCFL.Power(d.program.Beta)
 	if err != nil {
 		return nil, err
 	}
@@ -264,147 +214,6 @@ func (d *Display) refresh() (*Frame, error) {
 		TotalPower:      total,
 		Energy:          energy,
 	}, nil
-}
-
-// illuminationPower returns the light-producing power at a uniform
-// backlight factor: the classic CCFL lamp when no backend is
-// configured (the legacy expression, unchanged), otherwise the
-// backend's per-zone model summed over its grid at that factor. lum is
-// the displayed luminance image — content-proportional backends (OLED)
-// draw by what the panel actually shows.
-func (d *Display) illuminationPower(beta float64, lum *gray.Image) (float64, error) {
-	if d.cfg.Backlight == nil {
-		return d.cfg.Power.CCFL.Power(beta)
-	}
-	g := d.cfg.Backlight.Grid()
-	total := 0.0
-	for k := 0; k < g.Zones(); k++ {
-		x0, y0, x1, y1 := g.ZoneRect(k, lum.W, lum.H)
-		ct := backlight.ContentOfRect(lum, x0, y0, x1, y1, len(lum.Pix))
-		zp, err := d.cfg.Backlight.ZonePower(beta, ct)
-		if err != nil {
-			return 0, err
-		}
-		total += zp.Illumination
-	}
-	return total, nil
-}
-
-// zonedRefresh energizes a locally-dimmed panel: each zone displays its
-// own program under its own backlight factor. Illumination comes from
-// the backend's per-zone model; the TFT addressing layer is still one
-// panel, so panel and scan power use the per-zone transmittance tables
-// over the shared frame buffer.
-func (d *Display) zonedRefresh() (*Frame, error) {
-	g := d.cfg.Backlight.Grid()
-	w, h := d.cfg.Width, d.cfg.Height
-	lum := gray.New(w, h)
-	n := float64(len(d.frameBuffer.Pix))
-
-	illum, panel := 0.0, 0.0
-	for k, prog := range d.bank.Programs {
-		x0, y0, x1, y1 := g.ZoneRect(k, w, h)
-		lut, err := prog.DisplayedLUT()
-		if err != nil {
-			return nil, err
-		}
-		// Zone luminance plus the zone's code histogram in one pass.
-		var hist [transform.Levels]int
-		for y := y0; y < y1; y++ {
-			row := d.frameBuffer.Pix[y*w+x0 : y*w+x1]
-			out := lum.Pix[y*w+x0 : y*w+x1]
-			for i, p := range row {
-				out[i] = lut[p]
-				hist[p]++
-			}
-		}
-		ct := backlight.ContentOfRect(lum, x0, y0, x1, y1, len(lum.Pix))
-		zp, err := d.cfg.Backlight.ZonePower(prog.Beta, ct)
-		if err != nil {
-			return nil, err
-		}
-		illum += zp.Illumination
-		// Zone share of the TFT array power: P_TFT at this zone's
-		// driven transmittances, weighted by the zone's code counts
-		// against the whole panel's pixel count.
-		for code, count := range hist {
-			if count == 0 {
-				continue
-			}
-			tr, err := prog.TransmittanceAt(code)
-			if err != nil {
-				return nil, err
-			}
-			pw, err := d.cfg.Power.TFT.PowerAt(tr)
-			if err != nil {
-				return nil, err
-			}
-			panel += pw * float64(count) / n
-		}
-	}
-
-	addressing, err := d.zonedAddressingPower()
-	if err != nil {
-		return nil, err
-	}
-
-	blPower := illum / d.cfg.ConverterEfficiency
-	total := blPower + panel + addressing
-	energy := total / d.cfg.RefreshHz
-	d.frames++
-	d.totalEnergy += energy
-	return &Frame{
-		Luminance:       lum,
-		BacklightPower:  blPower,
-		PanelPower:      panel,
-		AddressingPower: addressing,
-		TotalPower:      total,
-		Energy:          energy,
-		ZoneBetas:       d.bank.Betas(),
-	}, nil
-}
-
-// zonedAddressingPower is addressingPower for a zoned panel: a source
-// line's voltage at row y follows the program of the zone containing
-// (x, y), so swings occur both row-to-row inside a zone and across
-// horizontal zone boundaries.
-func (d *Display) zonedAddressingPower() (float64, error) {
-	if d.cfg.SourceLineCapacitance == 0 {
-		return 0, nil
-	}
-	g := d.cfg.Backlight.Grid()
-	w, h := d.cfg.Width, d.cfg.Height
-	// Voltage tables per zone, and pixel→zone maps per axis derived
-	// from the authoritative ZoneRect splits.
-	tables := make([][transform.Levels]float64, d.bank.Zones())
-	colZone := make([]int, w)
-	rowZone := make([]int, h)
-	for k, prog := range d.bank.Programs {
-		t, err := prog.VoltageTable()
-		if err != nil {
-			return 0, err
-		}
-		tables[k] = t
-		x0, y0, x1, y1 := g.ZoneRect(k, w, h)
-		for x := x0; x < x1; x++ {
-			colZone[x] = k % g.Cols
-		}
-		for y := y0; y < y1; y++ {
-			rowZone[y] = k / g.Cols
-		}
-	}
-	energy := 0.0
-	for y := 1; y < h; y++ {
-		prevRow := (y - 1) * w
-		row := y * w
-		for x := 0; x < w; x++ {
-			cur := tables[rowZone[y]*g.Cols+colZone[x]]
-			prev := tables[rowZone[y-1]*g.Cols+colZone[x]]
-			dv := cur[d.frameBuffer.Pix[row+x]] - prev[d.frameBuffer.Pix[prevRow+x]]
-			energy += dv * dv
-		}
-	}
-	return d.cfg.SourceLineCapacitance * energy * d.cfg.RefreshHz, nil
 }
 
 // addressingPower computes the source-driver scan power: during each

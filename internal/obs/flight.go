@@ -26,8 +26,10 @@ type FrameRecord struct {
 	// HistHash is an FNV-1a hash of the frame's 256-bin histogram
 	// (0 when the pipeline did not extract one on this path).
 	HistHash uint64 `json:"hist_hash,omitempty"`
-	// PlanCached reports whether the frame's Plan came from the
-	// engine's LRU rather than a fresh equalize/plc solve.
+	// PlanCached reports whether the frame's Plan came from the plan
+	// cache rather than a fresh equalize/plc solve. Fused classic
+	// frames and zoned replays, which reuse an earlier frame's plans,
+	// set it too.
 	PlanCached bool `json:"plan_cached,omitempty"`
 	// Governor decisions, mirroring the per-frame counters.
 	RangeReused bool `json:"range_reused,omitempty"`

@@ -168,19 +168,14 @@ func Coarsen(pts []transform.Point, m int) (*Result, error) {
 	return CoarsenCtx(context.Background(), nil, pts, m)
 }
 
-// CoarsenTraced is Coarsen with the solve's observability spans nested
-// under the given parent (nil for a root span; with no sink installed
-// tracing is free). The chord-table precomputation and the DP sweep
-// get separate child spans so profiles attribute the O(n²) table vs
-// the O(m·n²) transitions.
-func CoarsenTraced(parentSpan *obs.Span, pts []transform.Point, m int) (*Result, error) {
-	return CoarsenCtx(context.Background(), parentSpan, pts, m)
-}
-
-// CoarsenCtx is CoarsenTraced with cooperative cancellation: the DP is
-// the pipeline's heaviest CPU stage (O(m·n²) transitions), so ctx is
-// checked once per chord-count iteration and the context error is
-// returned as soon as cancellation is observed.
+// CoarsenCtx is Coarsen with the solve's observability spans nested
+// under parentSpan (nil for a root span; with no sink installed
+// tracing is free) and cooperative cancellation. The chord-table
+// precomputation and the DP sweep get separate child spans so profiles
+// attribute the O(n²) table vs the O(m·n²) transitions. The DP is the
+// pipeline's heaviest CPU stage, so ctx is checked once per
+// chord-count iteration and the context error is returned as soon as
+// cancellation is observed.
 func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point, m int) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -282,39 +277,6 @@ func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point
 	mSolves.Inc()
 	mLatency.ObserveDuration(time.Since(start))
 	return res, nil
-}
-
-// CoarsenToTolerance finds the smallest segment count m whose PLC
-// solution has MSE at most maxMSE, by doubling then binary search.
-// It returns the corresponding Result. maxSegments bounds the search
-// (pass len(pts)-1 for no practical bound).
-func CoarsenToTolerance(pts []transform.Point, maxMSE float64, maxSegments int) (*Result, error) {
-	if maxMSE < 0 {
-		return nil, errors.New("plc: negative tolerance")
-	}
-	n := len(pts)
-	if maxSegments < 1 || maxSegments > n-1 {
-		maxSegments = n - 1
-	}
-	lo, hi := 1, maxSegments
-	var best *Result
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		r, err := Coarsen(pts, mid)
-		if err != nil {
-			return nil, err
-		}
-		if r.MSE <= maxMSE {
-			best = r
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("plc: tolerance %v unreachable within %d segments", maxMSE, maxSegments)
-	}
-	return best, nil
 }
 
 // LUT renders the coarsened curve into an applicable 8-bit LUT. The

@@ -205,42 +205,6 @@ func TestCurveMSEErrors(t *testing.T) {
 	}
 }
 
-func TestCoarsenToTolerance(t *testing.T) {
-	pts := make([]transform.Point, 64)
-	for i := range pts {
-		pts[i] = transform.Point{X: i, Y: math.Sin(float64(i)/4) * 20}
-	}
-	r, err := CoarsenToTolerance(pts, 0.5, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.MSE > 0.5 {
-		t.Errorf("tolerance violated: MSE %v > 0.5", r.MSE)
-	}
-	// Minimality: one fewer segment must exceed the tolerance.
-	if r.Segments > 1 {
-		fewer, err := Coarsen(pts, r.Segments-1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fewer.MSE <= 0.5 {
-			t.Errorf("m=%d already meets tolerance (%v); result not minimal", r.Segments-1, fewer.MSE)
-		}
-	}
-}
-
-func TestCoarsenToToleranceErrors(t *testing.T) {
-	pts := linePts(10, 1, 0)
-	if _, err := CoarsenToTolerance(pts, -1, 9); err == nil {
-		t.Error("negative tolerance should error")
-	}
-	// A wiggly curve with maxSegments=1 and tolerance 0 is unreachable.
-	wig := []transform.Point{{X: 0, Y: 0}, {X: 1, Y: 5}, {X: 2, Y: 0}}
-	if _, err := CoarsenToTolerance(wig, 0, 1); err == nil {
-		t.Error("unreachable tolerance should error")
-	}
-}
-
 func TestLUTFromGHECurve(t *testing.T) {
 	// End-to-end: equalize a noisy image, coarsen to 8 segments, render
 	// a LUT; it must be monotone and match the exact curve closely.

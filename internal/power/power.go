@@ -62,31 +62,6 @@ func (c CCFL) FullPower() float64 {
 	return p
 }
 
-// BetaForPower inverts the model: the largest β achievable with the
-// given driver power budget. Power above FullPower clamps to 1.
-func (c CCFL) BetaForPower(p float64) (float64, error) {
-	if math.IsNaN(p) || p < 0 {
-		return 0, fmt.Errorf("power: negative power %v", p)
-	}
-	if p >= c.FullPower() {
-		return 1, nil
-	}
-	kneePower := c.Alin*c.Cs + c.Clin
-	var beta float64
-	if p <= kneePower {
-		beta = (p - c.Clin) / c.Alin
-	} else {
-		beta = (p - c.Csat) / c.Asat
-	}
-	if beta < 0 {
-		beta = 0
-	}
-	if beta > 1 {
-		beta = 1
-	}
-	return beta, nil
-}
-
 // TFTPanel models the active-matrix panel: per-pixel power as a
 // quadratic in the normalized pixel value x ∈ [0,1] (Eq. 12),
 // P(x) = A·x² + B·x + C.
@@ -217,21 +192,6 @@ func (m SystemModel) SystemSavingPercent(displaySavingPercent float64) (float64,
 		return 0, fmt.Errorf("power: display saving %v%% implausible", displaySavingPercent)
 	}
 	return displaySavingPercent * m.DisplayShare, nil
-}
-
-// RuntimeExtensionPercent estimates how much longer a battery lasts at
-// the reduced system power: at constant battery energy, runtime scales
-// inversely with power, so a s% system saving extends runtime by
-// s/(100−s) × 100 percent.
-func (m SystemModel) RuntimeExtensionPercent(displaySavingPercent float64) (float64, error) {
-	s, err := m.SystemSavingPercent(displaySavingPercent)
-	if err != nil {
-		return 0, err
-	}
-	if s >= 100 {
-		return 0, fmt.Errorf("power: system saving %v%% implies zero power", s)
-	}
-	return 100 * s / (100 - s), nil
 }
 
 // BetaForRange returns the minimum backlight factor that preserves peak

@@ -76,35 +76,6 @@ func TestCCFLDomainErrors(t *testing.T) {
 	}
 }
 
-func TestBetaForPowerRoundTrip(t *testing.T) {
-	f := func(raw uint8) bool {
-		beta := 0.15 + 0.85*float64(raw)/255 // stay above the clamp region
-		p, err := DefaultCCFL.Power(beta)
-		if err != nil {
-			return false
-		}
-		back, err := DefaultCCFL.BetaForPower(p)
-		return err == nil && math.Abs(back-beta) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBetaForPowerClamps(t *testing.T) {
-	b, err := DefaultCCFL.BetaForPower(100)
-	if err != nil || b != 1 {
-		t.Errorf("huge power -> β = %v, %v; want 1", b, err)
-	}
-	if _, err := DefaultCCFL.BetaForPower(-1); err == nil {
-		t.Error("negative power should error")
-	}
-	b, err = DefaultCCFL.BetaForPower(0)
-	if err != nil || b < 0 || b > 0.13 {
-		t.Errorf("zero power -> β = %v, %v; want ~0.12", b, err)
-	}
-}
-
 func TestTFTPowerAt(t *testing.T) {
 	p, err := DefaultTFT.PowerAt(0)
 	if err != nil || p != 0.993 {
@@ -265,31 +236,6 @@ func TestSystemSavingValidation(t *testing.T) {
 	}
 	if _, err := SmartBadgeActive.SystemSavingPercent(math.NaN()); err == nil {
 		t.Error("NaN saving should error")
-	}
-}
-
-func TestRuntimeExtensionPercent(t *testing.T) {
-	// A 50% system saving doubles runtime.
-	m := SystemModel{DisplayShare: 1}
-	ext, err := m.RuntimeExtensionPercent(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ext-100) > 1e-9 {
-		t.Errorf("50%% saving should double runtime, got +%v%%", ext)
-	}
-	// Realistic case: 58% display saving in active mode.
-	ext, err = SmartBadgeActive.RuntimeExtensionPercent(58)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext < 15 || ext > 25 {
-		t.Errorf("active-mode runtime extension = %v%%, want ~20%%", ext)
-	}
-	// Zero saving extends nothing.
-	ext, err = SmartBadgeActive.RuntimeExtensionPercent(0)
-	if err != nil || ext != 0 {
-		t.Errorf("zero saving extension = %v, %v", ext, err)
 	}
 }
 

@@ -165,30 +165,3 @@ func FromGray(g *gray.Image) *Image {
 	}
 	return out
 }
-
-// MaxChannelHistogramRange returns the dynamic range of the per-pixel
-// maximum channel. Backlight compensation saturates whichever channel
-// is largest first, so clamping decisions that must avoid hue shifts
-// use this rather than the luma range.
-func (m *Image) MaxChannelHistogramRange() (lo, hi uint8, err error) {
-	if len(m.Pix) == 0 {
-		return 0, 0, errors.New("rgb: empty image")
-	}
-	lo, hi = 255, 0
-	for p := 0; p < m.W*m.H; p++ {
-		mx := m.Pix[3*p]
-		if m.Pix[3*p+1] > mx {
-			mx = m.Pix[3*p+1]
-		}
-		if m.Pix[3*p+2] > mx {
-			mx = m.Pix[3*p+2]
-		}
-		if mx < lo {
-			lo = mx
-		}
-		if mx > hi {
-			hi = mx
-		}
-	}
-	return lo, hi, nil
-}

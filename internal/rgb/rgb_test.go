@@ -160,16 +160,3 @@ func TestFromGray(t *testing.T) {
 		t.Error("FromGray luma should round trip")
 	}
 }
-
-func TestMaxChannelHistogramRange(t *testing.T) {
-	m := New(2, 1)
-	m.Set(0, 0, 10, 60, 5) // max 60
-	m.Set(1, 0, 200, 40, 180)
-	lo, hi, err := m.MaxChannelHistogramRange()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 60 || hi != 200 {
-		t.Errorf("max-channel range [%d,%d], want [60,200]", lo, hi)
-	}
-}

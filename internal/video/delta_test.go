@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hebs/internal/core"
-	"hebs/internal/gray"
 	"hebs/internal/obs"
 )
 
@@ -127,43 +126,5 @@ func TestDeltaPolicyValidation(t *testing.T) {
 	pol.TileSize = 4
 	if _, err := Process(seq, pol); err == nil {
 		t.Error("TileSize below minimum accepted")
-	}
-}
-
-// TestDetectCutsByTiles: a hard cut dirties every tile; static runs
-// dirty none.
-func TestDetectCutsByTiles(t *testing.T) {
-	fixtures := pipelineFixtures(t)
-	a := fixtures["pan"].Frames[0]
-	b := fixtures["fade"].Frames[0]
-	frames := make([]*gray.Image, 8)
-	for i := range frames {
-		if i < 4 {
-			frames[i] = a
-		} else {
-			frames[i] = b
-		}
-	}
-	seq, err := NewSequence(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts, err := DetectCutsByTiles(seq, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cuts) != 1 || cuts[0] != 4 {
-		t.Fatalf("cuts = %v, want [4]", cuts)
-	}
-	// A fully static clip has no cuts at any threshold.
-	cuts, err = DetectCutsByTiles(fixtures["static"], 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cuts) != 0 {
-		t.Fatalf("static clip reported cuts %v", cuts)
-	}
-	if _, err := DetectCutsByTiles(nil, 0, 0); err == nil {
-		t.Error("nil sequence accepted")
 	}
 }

@@ -11,9 +11,10 @@ import (
 	"hebs/internal/obs"
 )
 
-// TestProcessFeedsFlightRecorder: inline and fanned-out runs feed one
-// record per frame into an installed flight recorder, with the
-// governor's decisions mirrored in the record fields.
+// TestProcessFeedsFlightRecorder: inline and fanned-out runs of both
+// clip walks feed one record per frame into an installed flight
+// recorder, with the governor's decisions mirrored in the record
+// fields.
 func TestProcessFeedsFlightRecorder(t *testing.T) {
 	seq := pipelineFixtures(t)["mixed"]
 	pol := Policy{
@@ -72,6 +73,76 @@ func TestProcessFeedsFlightRecorder(t *testing.T) {
 		}
 		if cutSnaps == 0 {
 			t.Errorf("workers=%d: no cut_snap records on the mixed clip", workers)
+		}
+	}
+
+	// The zoned walk records every frame as well, replays included: a
+	// bright lead-in and then a held dark scene dims under the slew
+	// limit, settles, and replays the held frames from then on.
+	bright, dark := brightFrame(t), darkFrame(t)
+	frames := []*gray.Image{bright, bright}
+	for i := 0; i < 22; i++ {
+		frames = append(frames, dark)
+	}
+	held, err := NewSequence(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zpol := Policy{
+		MaxStep:       0.05,
+		Backend:       ledBackend(t, 4, 4),
+		DeltaAnalysis: true,
+		Options:       core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+	}
+	reg := obs.Default()
+	lat := reg.Histogram("video.frame.seconds", nil)
+	replayed := reg.Counter("video.zoned.frames_replayed_total")
+	slewed := reg.Counter("video.slew_limited_total")
+	for _, workers := range []int{1, 4} {
+		rec := obs.NewFlightRecorder(len(frames) + 8)
+		prev := obs.SetFlightRecorder(rec)
+		latBefore, replayBefore, slewBefore := lat.Count(), replayed.Value(), slewed.Value()
+		zpol.Workers = workers
+		res, err := Process(held, zpol)
+		obs.SetFlightRecorder(prev)
+		if err != nil {
+			t.Fatalf("zoned workers=%d: %v", workers, err)
+		}
+		recs := rec.Snapshot()
+		if len(recs) != len(frames) {
+			t.Fatalf("zoned workers=%d: %d flight records, want %d", workers, len(recs), len(frames))
+		}
+		if n := lat.Count() - latBefore; n != int64(len(frames)) {
+			t.Errorf("zoned workers=%d: %d video.frame.seconds observations, want %d", workers, n, len(frames))
+		}
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Frame < recs[j].Frame })
+		replays, slews := 0, 0
+		for i, fr := range recs {
+			if fr.Frame != i {
+				t.Fatalf("zoned workers=%d: frame %d recorded at %d", workers, fr.Frame, i)
+			}
+			if got := res.Frames[i]; fr.Beta != got.Beta || fr.Range != got.Range {
+				t.Errorf("zoned workers=%d frame %d: record (β=%v r=%d) disagrees with result (β=%v r=%d)",
+					workers, i, fr.Beta, fr.Range, got.Beta, got.Range)
+			}
+			if fr.Zones != 16 || fr.Workers != workers {
+				t.Errorf("zoned workers=%d frame %d: zones %d workers %d, want 16 and %d",
+					workers, i, fr.Zones, fr.Workers, workers)
+			}
+			if fr.PlanCached {
+				replays++
+			}
+			if fr.SlewLimited {
+				slews++
+			}
+		}
+		if replays == 0 || int64(replays) != replayed.Value()-replayBefore {
+			t.Errorf("zoned workers=%d: %d plan_cached records, want the %d replayed frames (> 0)",
+				workers, replays, replayed.Value()-replayBefore)
+		}
+		if slews == 0 || int64(slews) != slewed.Value()-slewBefore {
+			t.Errorf("zoned workers=%d: %d slew_limited records, want the %d slew-limited frames (> 0)",
+				workers, slews, slewed.Value()-slewBefore)
 		}
 	}
 }

@@ -95,6 +95,10 @@ const minHistFanoutPixels = 1 << 15
 type clipState struct {
 	frames             []frameState
 	search, full, fast []int
+	// wave is the Phase E wave in flight (full, then fast): one
+	// closure reads it for both waves, so the two-wave apply costs one
+	// allocation per clip, not two.
+	wave []int
 }
 
 // statePool recycles clip state across runs.
@@ -497,13 +501,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 				full = append(full, i)
 			}
 		}
-		applyErr = parallel.ForEach(ctx, len(full), workers, func(k int) error {
-			return applyFrame(full[k])
-		})
+		runWave := func(k int) error { return applyFrame(cs.wave[k]) }
+		cs.wave = full
+		applyErr = parallel.ForEach(ctx, len(full), workers, runWave)
 		if applyErr == nil && len(fast) > 0 {
-			applyErr = parallel.ForEach(ctx, len(fast), workers, func(k int) error {
-				return applyFrame(fast[k])
-			})
+			cs.wave = fast
+			applyErr = parallel.ForEach(ctx, len(fast), workers, runWave)
 		}
 	}
 	if applyErr != nil {

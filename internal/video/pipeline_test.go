@@ -88,7 +88,7 @@ func TestPipelinedCutDetectionMatchesSerial(t *testing.T) {
 	want.aggregate()
 	for _, workers := range []int{0, 1, 4} {
 		pol.Workers = workers
-		got, err := ProcessWithCutDetection(seq, pol, 8)
+		got, err := ProcessWithCutDetectionContext(context.Background(), seq, pol, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,76 +82,16 @@ func DetectCuts(seq *Sequence, threshold float64) ([]int, error) {
 	return cuts, nil
 }
 
-// DefaultCutTileRatio is the fraction of changed tiles above which
-// DetectCutsByTiles marks a scene cut. A hard cut replaces essentially
-// the whole screen (ratio ≈ 1); overlay/UI updates and talking-head
-// motion touch a small fraction.
-const DefaultCutTileRatio = 0.75
-
-// DetectCutsByTiles detects scene starts from the tile-change ratio of
-// the incremental delta analysis: a frame whose fraction of changed
-// tiles (checksum mismatches against the previous frame) reaches the
-// threshold starts a new scene. The signal is a byproduct of the
-// DeltaAnalysis bookkeeping — per-tile hashing, no histogram distance —
-// so it is essentially free on clips already running delta analysis,
-// but it is cruder than DetectCuts: any full-screen motion (a pan, a
-// fade) changes every tile, so it suits static/overlay content rather
-// than continuous motion. tileSize 0 selects the delta default;
-// threshold <= 0 selects DefaultCutTileRatio. Frame 0 never counts.
-func DetectCutsByTiles(seq *Sequence, tileSize int, threshold float64) ([]int, error) {
-	if seq == nil || len(seq.Frames) == 0 {
-		return nil, errors.New("video: empty sequence")
-	}
-	if threshold <= 0 {
-		threshold = DefaultCutTileRatio
-	}
-	sp := obs.StartSpan("video.DetectCutsByTiles")
-	defer sp.End()
-	sp.SetInt("frames", len(seq.Frames))
-	fd, err := histogram.NewFrameDelta(seq.Frames[0].W, seq.Frames[0].H, tileSize)
-	if err != nil {
-		return nil, err
-	}
-	var cuts []int
-	for i, f := range seq.Frames {
-		changed, total, err := fd.Update(f, nil)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			continue // the first frame primes the reference
-		}
-		if float64(changed)/float64(total) >= threshold {
-			cuts = append(cuts, i)
-		}
-	}
-	sp.SetInt("cuts", len(cuts))
-	mCutsFound.Add(int64(len(cuts)))
-	if invariant.Enabled {
-		for i, c := range cuts {
-			invariant.Assert(c >= 1 && c < len(seq.Frames),
-				"video: cut index %d outside [1,%d)", c, len(seq.Frames))
-			invariant.Assert(i == 0 || c > cuts[i-1],
-				"video: cut indices not increasing: %v", cuts)
-		}
-	}
-	return cuts, nil
-}
-
-// ProcessWithCutDetection runs Process with the slew-rate policy, but
-// snaps β at detected scene cuts instead of relying on a β-jump
-// threshold: histogram-level cut detection fires even when the cut
-// happens to land on a similar β (where the β-threshold would not).
-// cutDistance <= 0 selects DefaultCutDistance.
-func ProcessWithCutDetection(seq *Sequence, pol Policy, cutDistance float64) (*Result, error) {
-	return ProcessWithCutDetectionContext(context.Background(), seq, pol, cutDistance)
-}
-
-// ProcessWithCutDetectionContext is ProcessWithCutDetection with
-// cooperative cancellation: a cancellation mid-clip returns the frames
-// of the scenes completed (plus the cancelled scene's completed
-// prefix), aggregated, together with ctx's error. All scenes share one
-// engine so frame buffers and cached plans carry across cuts.
+// ProcessWithCutDetectionContext runs Process with the slew-rate
+// policy, but snaps β at detected scene cuts instead of relying on a
+// β-jump threshold: histogram-level cut detection fires even when the
+// cut happens to land on a similar β (where the β-threshold would
+// not). cutDistance <= 0 selects DefaultCutDistance. A cancellation
+// mid-clip returns the frames of the scenes completed (plus the
+// cancelled scene's completed prefix), aggregated, together with
+// ctx's error. All scenes share one engine so frame buffers and cached
+// plans carry across cuts; without Policy.Engine that engine is built
+// with Policy.Workers.
 func ProcessWithCutDetectionContext(ctx context.Context, seq *Sequence, pol Policy, cutDistance float64) (*Result, error) {
 	if seq == nil || len(seq.Frames) == 0 {
 		return nil, errors.New("video: empty sequence")
@@ -170,7 +110,7 @@ func ProcessWithCutDetectionContext(ctx context.Context, seq *Sequence, pol Poli
 	scenePol := pol
 	scenePol.CutThreshold = 0
 	if scenePol.Engine == nil {
-		scenePol.Engine = core.NewEngine(core.EngineOptions{})
+		scenePol.Engine = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
 	}
 	res := &Result{}
 	start := 0

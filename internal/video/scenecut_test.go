@@ -1,6 +1,7 @@
 package video
 
 import (
+	"context"
 	"testing"
 
 	"hebs/internal/core"
@@ -112,7 +113,7 @@ func TestProcessWithCutDetectionSnapsAtCuts(t *testing.T) {
 		MaxStep: 0.01,
 		Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
 	}
-	res, err := ProcessWithCutDetection(clip, pol, 0)
+	res, err := ProcessWithCutDetectionContext(context.Background(), clip, pol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestProcessWithCutDetectionMatchesProcessOnUncutClip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ProcessWithCutDetection(fade, pol, 0)
+	b, err := ProcessWithCutDetectionContext(context.Background(), fade, pol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestProcessWithCutDetectionMatchesProcessOnUncutClip(t *testing.T) {
 }
 
 func TestProcessWithCutDetectionValidation(t *testing.T) {
-	if _, err := ProcessWithCutDetection(nil, Policy{}, 0); err == nil {
+	if _, err := ProcessWithCutDetectionContext(context.Background(), nil, Policy{}, 0); err == nil {
 		t.Error("nil sequence should error")
 	}
 }

@@ -147,10 +147,11 @@ type Policy struct {
 	// in core.Options.
 	Options core.Options
 	// Engine, when non-nil, runs the per-frame pipeline through the
-	// given engine so its frame-buffer pools and plan LRU persist
-	// across clips — the steady-state zero-allocation path. Nil means
-	// a private engine per Process call (pooling still amortizes
-	// across the clip's frames).
+	// given engine so its frame-buffer pools persist across clips —
+	// the steady-state zero-allocation path. Nil means a private
+	// engine per Process call (pooling still amortizes across the
+	// clip's frames). Either way plans come from the process-wide plan
+	// cache unless the engine was built with caching disabled.
 	Engine *core.Engine
 	// Workers bounds the parallelism of the clip scheduler, which runs
 	// every classic clip as analyze → govern → apply: 0 or 1 (the
@@ -163,8 +164,8 @@ type Policy struct {
 	// execution".
 	Workers int
 	// frameOffset shifts the frame indices reported on observability
-	// spans; ProcessWithCutDetection sets it so scene-local runs still
-	// report clip-global frame numbers.
+	// spans; ProcessWithCutDetectionContext sets it so scene-local
+	// runs still report clip-global frame numbers.
 	frameOffset int
 }
 

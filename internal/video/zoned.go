@@ -60,6 +60,7 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 	}
 	step := effectiveSlew(pol.MaxStep, b.MaxSlew())
 	quant := 1.0 / float64(transform.Levels-1)
+	workers := eng.Workers()
 
 	sp := pol.Options.Trace.Child("video.ProcessZoned")
 	defer sp.End()
@@ -91,14 +92,18 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		// Certified-identical replay: same pixels as the previous frame
 		// while its track was stable (no floor bound, no snap) replay
 		// the same deterministic decision without re-running the engine.
+		// A replay reuses the previous frame's plans, so it reports
+		// PlanCached as a fused classic frame does.
 		if pol.DeltaAnalysis && prevStable && prevPix != nil && bytes.Equal(prevPix, frame.Pix) {
 			fr := prevFR
 			res.Frames = append(res.Frames, fr)
 			mZonedReplay.Inc()
 			fsp.SetBool("zoned_replay", true)
-			recordZonedFrame(fsp, fr)
-			gInflight.Add(-1)
-			fsp.End()
+			finishZonedFrame(fsp, fr, obs.FrameRecord{
+				Frame:      pol.frameOffset + i,
+				PlanCached: true,
+				Workers:    workers,
+			}, start)
 			continue
 		}
 
@@ -196,7 +201,8 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		smooth := zr.SmoothSweeps
 		zr.Release()
 
-		if floored && fr.Beta-fr.TargetBeta > quant+1e-12 {
+		slew := floored && fr.Beta-fr.TargetBeta > quant+1e-12
+		if slew {
 			fsp.SetBool("slew_limited", true)
 			mSlewLimited.Inc()
 		}
@@ -209,24 +215,13 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 			}
 			copy(prevPix, frame.Pix)
 		}
-		recordZonedFrame(fsp, fr)
-		if rec := obs.Flight(); rec != nil {
-			rec.Record(obs.FrameRecord{
-				Frame:          pol.frameOffset + i,
-				TargetBeta:     fr.TargetBeta,
-				Beta:           fr.Beta,
-				Range:          fr.Range,
-				CutSnap:        cutSnap,
-				Zones:          zones,
-				ZoneBetaSpread: fr.ZoneBetaSpread,
-				SmoothIters:    smooth,
-				Workers:        1,
-				Seconds:        time.Since(start).Seconds(),
-			})
-		}
-		mFrameLatency.ObserveDuration(time.Since(start))
-		gInflight.Add(-1)
-		fsp.End()
+		finishZonedFrame(fsp, fr, obs.FrameRecord{
+			Frame:       pol.frameOffset + i,
+			CutSnap:     cutSnap,
+			SlewLimited: slew,
+			SmoothIters: smooth,
+			Workers:     workers,
+		}, start)
 	}
 	res.aggregate()
 	if clipErr != nil {
@@ -235,12 +230,28 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 	return res, nil
 }
 
-// recordZonedFrame annotates a frame span with the zoned operating
-// point (shared by fresh runs and replays).
-func recordZonedFrame(fsp *obs.Span, fr FrameResult) {
+// finishZonedFrame closes one zoned frame, fresh or replayed: it
+// annotates the span with the operating point, feeds the flight
+// recorder and observes video.frame.seconds. rec carries the frame
+// index, path flags and worker count; the operating point comes from
+// fr.
+func finishZonedFrame(fsp *obs.Span, fr FrameResult, rec obs.FrameRecord, start time.Time) {
 	fsp.SetFloat("target_beta", fr.TargetBeta)
 	fsp.SetFloat("applied_beta", fr.Beta)
 	fsp.SetInt("range", fr.Range)
 	fsp.SetFloat("saving_pct", fr.SavingPercent)
 	fsp.SetFloat("zone_beta_spread", fr.ZoneBetaSpread)
+	elapsed := time.Since(start)
+	if fl := obs.Flight(); fl != nil {
+		rec.TargetBeta = fr.TargetBeta
+		rec.Beta = fr.Beta
+		rec.Range = fr.Range
+		rec.Zones = fr.Zones
+		rec.ZoneBetaSpread = fr.ZoneBetaSpread
+		rec.Seconds = elapsed.Seconds()
+		fl.Record(rec)
+	}
+	mFrameLatency.ObserveDuration(elapsed)
+	gInflight.Add(-1)
+	fsp.End()
 }
