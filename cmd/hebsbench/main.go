@@ -31,10 +31,14 @@ import (
 	"hebs/internal/backlight"
 	"hebs/internal/chart"
 	"hebs/internal/core"
+	"hebs/internal/driver"
+	"hebs/internal/equalize"
 	"hebs/internal/experiments"
 	"hebs/internal/gray"
+	"hebs/internal/histogram"
 	"hebs/internal/imageio"
 	"hebs/internal/obs"
+	"hebs/internal/plc"
 	"hebs/internal/report"
 	"hebs/internal/sipi"
 	"hebs/internal/video"
@@ -448,11 +452,13 @@ func perfWorkerSet(workers int) []int {
 // analysis), a mostly-static "talking head" clip exercising the partial
 // re-bin path, the zoned walk on steady and mostly-static clips (the
 // per-zone fast path's full-replay and unchanged-zone-skip regimes),
-// and the single-image exact range search — at each worker count, via
-// testing.Benchmark so iteration counts self-calibrate. The
-// records are the stable schema consumed by cmd/hebsbenchcmp and
-// checked into BENCH_pipeline.json; mb_per_clip is the heap allocated
-// per operation (one clip / one image) in MB.
+// the single-image exact range search, and one uncached PLC solve (the
+// Eq. 9 DP on a 256-point GHE curve at the driver's segment budget;
+// the clip records above reach PLC only through the plan cache) — at
+// each worker count, via testing.Benchmark so iteration counts
+// self-calibrate. The records are the stable schema consumed by
+// cmd/hebsbenchcmp and checked into BENCH_pipeline.json; mb_per_clip
+// is the heap allocated per operation (one clip / one image) in MB.
 func runPerf(ctx context.Context, workers int, delta bool, tileSize int) ([]perfRecord, error) {
 	frame, err := sipi.Generate("lena", 128, 128)
 	if err != nil {
@@ -474,6 +480,11 @@ func runPerf(ctx context.Context, workers int, delta bool, tileSize int) ([]perf
 	if err != nil {
 		return nil, err
 	}
+	ghe, err := equalize.SolveRange(histogram.Of(still), 150)
+	if err != nil {
+		return nil, err
+	}
+	ghePts := ghe.Points()
 
 	var recs []perfRecord
 	record := func(name string, w int, op func() error) error {
@@ -582,6 +593,12 @@ func runPerf(ctx context.Context, workers int, delta bool, tileSize int) ([]perf
 			}
 			res.Release()
 			return nil
+		}); err != nil {
+			return nil, err
+		}
+		if err := record("plc/ghe256", w, func() error {
+			_, err := plc.CoarsenCtx(ctx, nil, ghePts, driver.DefaultConfig.Sources)
+			return err
 		}); err != nil {
 			return nil, err
 		}

@@ -189,6 +189,22 @@ func tileSum(pix []uint8, stride, x0, y0, x1, y1 int) uint64 {
 	return sum
 }
 
+// scanTile re-hashes tile t of img and, when it changed (or the state
+// is not primed), marks it dirty and re-bins it into d.fresh[t]. It is
+// a method rather than a closure so the inline walk of UpdateShards
+// allocates nothing; only the fan-out branch builds a closure.
+func (d *FrameDelta) scanTile(img *gray.Image, t int, primed bool) {
+	x0, y0, x1, y1 := d.tileRect(t)
+	sum := tileSum(img.Pix, d.w, x0, y0, x1, y1)
+	if primed && sum == d.sums[t] {
+		d.dirty[t] = false
+		return
+	}
+	d.dirty[t] = true
+	d.sums[t] = sum
+	d.binTile(img.Pix, t, &d.fresh[t])
+}
+
 // binTile counts tile t's pixels into out.
 func (d *FrameDelta) binTile(pix []uint8, t int, out *tileBins) {
 	x0, y0, x1, y1 := d.tileRect(t)
@@ -228,27 +244,16 @@ func (d *FrameDelta) UpdateShards(img *gray.Image, h *Histogram, workers int) (c
 	}
 	n := d.tilesX * d.tilesY
 	primed := d.primed
-	scan := func(t int) {
-		x0, y0, x1, y1 := d.tileRect(t)
-		sum := tileSum(img.Pix, d.w, x0, y0, x1, y1)
-		if primed && sum == d.sums[t] {
-			d.dirty[t] = false
-			return
-		}
-		d.dirty[t] = true
-		d.sums[t] = sum
-		d.binTile(img.Pix, t, &d.fresh[t])
-	}
 	if workers > 1 && n >= minDeltaFanoutTiles {
 		// Tiles are disjoint: each worker writes only its tile's slots.
 		parallel.Shard(n, workers, func(_, lo, hi int) {
 			for t := lo; t < hi; t++ {
-				scan(t)
+				d.scanTile(img, t, primed)
 			}
 		})
 	} else {
 		for t := 0; t < n; t++ {
-			scan(t)
+			d.scanTile(img, t, primed)
 		}
 	}
 	// Serial merge in tile order: subtract each stale tile histogram,

@@ -11,7 +11,8 @@ import (
 // and segment budgets. Every solve must produce a structurally valid
 // endpoint set (Eq. 8) whose reported MSE matches a direct evaluation,
 // and — the instances being small — must equal the exhaustive optimum
-// over all endpoint subsets (Eq. 9).
+// over all endpoint subsets (Eq. 9) and the k-outer reference loop bit
+// for bit.
 func FuzzCoarsen(f *testing.F) {
 	f.Add(uint8(10), uint8(3), []byte{0, 50, 50, 90, 120, 121, 122, 200, 220, 255})
 	f.Add(uint8(2), uint8(0), []byte{7})
@@ -48,6 +49,9 @@ func FuzzCoarsen(f *testing.F) {
 		}
 		if math.Abs(direct-res.MSE) > mseTolerance(direct) {
 			t.Fatalf("chord-table MSE %v != direct %v", res.MSE, direct)
+		}
+		if d := sameAsReference(pts, m, res); d != "" {
+			t.Fatalf("n=%d m=%d: %s", n, m, d)
 		}
 		if best := exhaustiveMSE(pts, m); math.Abs(res.MSE-best) > mseTolerance(best) {
 			t.Fatalf("DP MSE %v != exhaustive optimum %v (n=%d, m=%d)", res.MSE, best, n, m)

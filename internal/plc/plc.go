@@ -6,10 +6,15 @@
 // squared error between Φ and Λ.
 //
 // The solver is the dynamic program of Eq. 9 with per-chord squared
-// errors; its complexity is O(m·n²) transitions over an O(n²)
-// precomputed chord-error table, matching the paper's stated bound.
-// m is set by the number of controllable reference-voltage sources in
-// the LCD driver (Figure 5b), which is what makes small m valuable.
+// errors; its complexity is O(m·n²) transitions, matching the paper's
+// stated bound. The chord error e(i, j) does not depend on the chord
+// count k, so the recurrence runs column-major: for each right
+// endpoint j the column e(·, j) is evaluated once (O(n²) chord
+// evaluations per solve), then every k ≤ min(m, j) reads it. An exact prune skips any predecessor whose own cost
+// already reaches the best candidate, since e ≥ 0 cannot bring it
+// back under. m is set by the number of controllable reference-voltage
+// sources in the LCD driver (Figure 5b), which is what makes small m
+// valuable.
 package plc
 
 import (
@@ -61,14 +66,16 @@ type chordTable struct {
 }
 
 // solveScratch is the reusable DP working set: the chord-table prefix
-// sums plus the dp/parent matrices. The GHE curves the HEBS pipeline
-// coarsens always have n = 256 points and a fixed driver segment
-// budget, so a pooled scratch makes repeated solves allocation-free.
+// sums, the dp/parent matrices and the per-column chord errors. The GHE
+// curves the HEBS pipeline coarsens always have n = 256 points and a
+// fixed driver segment budget, so a pooled scratch makes repeated
+// solves allocation-free.
 type solveScratch struct {
 	n, m   int
 	table  chordTable
 	dp     [][]float64
 	parent [][]int
+	col    []float64 // col[i] = e(i, j) for the column j being solved
 }
 
 var scratchPool sync.Pool
@@ -92,6 +99,7 @@ func getScratch(n, m int) *solveScratch {
 		},
 		dp:     make([][]float64, m+1),
 		parent: make([][]int, m+1),
+		col:    make([]float64, n),
 	}
 	for k := range s.dp {
 		s.dp[k] = make([]float64, n)
@@ -172,10 +180,23 @@ func Coarsen(pts []transform.Point, m int) (*Result, error) {
 // under parentSpan (nil for a root span; with no sink installed
 // tracing is free) and cooperative cancellation. The chord-table
 // precomputation and the DP sweep get separate child spans so profiles
-// attribute the O(n²) table vs the O(m·n²) transitions. The DP is the
-// pipeline's heaviest CPU stage, so ctx is checked once per
-// chord-count iteration and the context error is returned as soon as
-// cancellation is observed.
+// attribute the O(n) prefix sums vs the O(m·n²) transitions.
+//
+// The DP runs the right endpoint j outermost. dp[k][j] reads only
+// dp[k-1][i] for i < j, which earlier columns have already finalized,
+// so each column fills col[i] = e(i, j) once and every chord count
+// k = 1..min(m, j) reuses it. A candidate i with dp[k-1][i] >= best is
+// skipped: e ≥ 0 (the table clamps it) and float addition is
+// monotone, so its sum cannot beat the strict < that picks a winner.
+// The i order and the first-minimum tie-break are those of the plain
+// k-outer recurrence, so Indices and MSE are bit-identical to it.
+// Knuth, SMAWK and divide-and-conquer speedups are not used: they need
+// a quadrangle inequality that chord interpolation error is not known
+// to satisfy, so they could return a different Λ.
+//
+// The DP is the pipeline's heaviest CPU stage, so ctx is checked once
+// per column and the context error is returned as soon as cancellation
+// is observed.
 func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point, m int) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -221,20 +242,27 @@ func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point
 		}
 	}
 	dp[0][0] = 0
+	col := scratch.col
 	var ctxErr error
-	for k := 1; k <= m; k++ {
+	for j := 1; j < n; j++ {
 		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		for j := k; j < n; j++ {
+		cj := col[:j]
+		for i := range cj {
+			cj[i] = cerr.at(i, j)
+		}
+		for k := 1; k <= m && k <= j; k++ {
+			prev := dp[k-1][:j]
 			best := inf
 			bestI := -1
 			for i := k - 1; i < j; i++ {
-				//hebslint:allow floateq MaxFloat64 is an exact "unreached" marker
-				if dp[k-1][i] == inf {
+				// Exact prune: cj[i] >= 0, so prev[i] + cj[i] >= best.
+				// It also skips unreached (inf) predecessors.
+				if prev[i] >= best {
 					continue
 				}
-				c := dp[k-1][i] + cerr.at(i, j)
+				c := prev[i] + cj[i]
 				if c < best {
 					best = c
 					bestI = i

@@ -1,14 +1,20 @@
 package plc
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hebs/internal/equalize"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
+	"hebs/internal/invariant"
 	"hebs/internal/rng"
+	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
 
@@ -171,6 +177,232 @@ func TestCoarsenOptimalVsBruteForce(t *testing.T) {
 	}
 }
 
+// coarsenReference is the plain k-outer Eq. 9 recurrence, kept as the
+// differential oracle for CoarsenCtx's column-major loop: it evaluates
+// e(i, j) afresh for every chord count and skips only unreached
+// predecessors. Both loops visit i in ascending order and keep the
+// first strict minimum, so their Indices and MSE must agree bit for
+// bit, not merely within a tolerance.
+func coarsenReference(pts []transform.Point, m int) (indices []int, mse float64) {
+	n := len(pts)
+	cerr := newChordTable(pts)
+	const inf = math.MaxFloat64
+	dp := make([][]float64, m+1)
+	parent := make([][]int, m+1)
+	for k := range dp {
+		dp[k] = make([]float64, n)
+		parent[k] = make([]int, n)
+		for j := range dp[k] {
+			dp[k][j] = inf
+			parent[k][j] = -1
+		}
+	}
+	dp[0][0] = 0
+	for k := 1; k <= m; k++ {
+		for j := k; j < n; j++ {
+			best := inf
+			bestI := -1
+			for i := k - 1; i < j; i++ {
+				//hebslint:allow floateq MaxFloat64 is an exact "unreached" marker
+				if dp[k-1][i] == inf {
+					continue
+				}
+				c := dp[k-1][i] + cerr.at(i, j)
+				if c < best {
+					best = c
+					bestI = i
+				}
+			}
+			dp[k][j] = best
+			parent[k][j] = bestI
+		}
+	}
+	indices = make([]int, m+1)
+	j := n - 1
+	for k := m; k >= 1; k-- {
+		indices[k] = j
+		j = parent[k][j]
+	}
+	return indices, dp[m][n-1] / float64(n)
+}
+
+// sameAsReference reports how r differs from coarsenReference on the
+// same instance, or "" when Indices and the MSE bits are equal.
+func sameAsReference(pts []transform.Point, m int, r *Result) string {
+	idx, mse := coarsenReference(pts, m)
+	if !slices.Equal(r.Indices, idx) {
+		return fmt.Sprintf("indices %v, reference %v", r.Indices, idx)
+	}
+	if math.Float64bits(r.MSE) != math.Float64bits(mse) {
+		return fmt.Sprintf("MSE %v (bits %#x), reference %v (bits %#x)",
+			r.MSE, math.Float64bits(r.MSE), mse, math.Float64bits(mse))
+	}
+	return ""
+}
+
+// fbmImage is a seeded fractal-noise still, the texture family the
+// pipeline tests coarsen alongside the sipi suite.
+func fbmImage(size int, seed uint64) *gray.Image {
+	m := gray.New(size, size)
+	for y := 0; y < size; y++ {
+		for x := 0; x < size; x++ {
+			m.Set(x, y, uint8(255*rng.FBM(float64(x)/13, float64(y)/13, 4, seed)))
+		}
+	}
+	return m
+}
+
+// gheCurve is the 256-point exact transformation curve Φ that the
+// pipeline hands to PLC for img at dynamic range r.
+func gheCurve(t testing.TB, img *gray.Image, r int) []transform.Point {
+	t.Helper()
+	res, err := equalize.SolveRange(histogram.Of(img), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Points()
+}
+
+// TestCoarsenMatchesReference is the differential oracle for the
+// column-major DP: on the GHE curves of the sipi suite and of seeded
+// FBM stills, across dynamic ranges and segment budgets, CoarsenCtx
+// must return exactly the endpoints and MSE bits of the k-outer loop.
+func TestCoarsenMatchesReference(t *testing.T) {
+	suite, err := sipi.Suite(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type named struct {
+		name string
+		img  *gray.Image
+	}
+	var imgs []named
+	for _, s := range suite {
+		imgs = append(imgs, named{s.Name, s.Image})
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		imgs = append(imgs, named{fmt.Sprintf("fbm%d", seed), fbmImage(64, seed)})
+	}
+	for _, im := range imgs {
+		for _, r := range []int{40, 100, 150, 220, 255} {
+			pts := gheCurve(t, im.img, r)
+			for _, m := range []int{1, 2, 5, 10, 16} {
+				res, err := Coarsen(pts, m)
+				if err != nil {
+					t.Fatalf("%s R=%d m=%d: %v", im.name, r, m, err)
+				}
+				if d := sameAsReference(pts, m, res); d != "" {
+					t.Errorf("%s R=%d m=%d: %s", im.name, r, m, d)
+				}
+			}
+		}
+	}
+}
+
+// countdownCtx is a never-done context whose Err turns to
+// context.Canceled after `left` nil answers, so a test can land the
+// cancellation at an exact point inside the DP.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestCoarsenCtxCancel cancels a solve before it starts and in the
+// middle of the DP. Both must return context.Canceled and no result,
+// and the next solve, which takes the same pooled scratch, must still
+// equal the reference: a cancelled walk leaves no dp, parent or col
+// state that a later solve could pick up.
+func TestCoarsenCtxCancel(t *testing.T) {
+	pts := gheCurve(t, fbmImage(64, 3), 150)
+	next := gheCurve(t, fbmImage(64, 4), 220)
+	const m = 10
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"pre-cancelled", pre},
+		// One Err call on entry, then one per column: the cancel lands
+		// at column 100 of 255, with rows 1..10 of dp partly filled.
+		{"mid-DP", &countdownCtx{Context: context.Background(), left: 100}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := CoarsenCtx(tc.ctx, nil, pts, m)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if res != nil {
+				t.Fatalf("cancelled solve returned a result: %+v", res)
+			}
+			for _, p := range [][]transform.Point{next, pts} {
+				r, err := Coarsen(p, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sameAsReference(p, m, r); d != "" {
+					t.Errorf("solve after cancel: %s", d)
+				}
+			}
+		})
+	}
+	// A pooled scratch full of garbage must not change the next solve:
+	// the DP resets or overwrites everything it reads.
+	const garbage = -1e9
+	s := getScratch(len(next), m)
+	for k := range s.dp {
+		for j := range s.dp[k] {
+			s.dp[k][j] = garbage
+			s.parent[k][j] = 7
+		}
+	}
+	for i := range s.col {
+		s.col[i] = garbage
+	}
+	putScratch(s)
+	r, err := Coarsen(next, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sameAsReference(next, m, r); d != "" {
+		t.Errorf("solve on a poisoned scratch: %s", d)
+	}
+}
+
+// TestCoarsenAllocs pins a pooled solve of the pipeline's shape (a
+// 256-point GHE curve, the driver's m = 10) to its three result
+// allocations: the Result, its Indices and its Points. The DP working
+// set, the per-column chord errors included, comes from solveScratch.
+func TestCoarsenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled scratch at random")
+	}
+	if invariant.Enabled {
+		t.Skip("hebscheck assertions allocate on every solve")
+	}
+	pts := gheCurve(t, fbmImage(128, 3), 150)
+	if _, err := Coarsen(pts, 10); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Coarsen(pts, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("Coarsen allocates %v objects per solve, want 3 (Result, Indices, Points)", allocs)
+	}
+}
+
 func TestCurveMSEConsistentWithResult(t *testing.T) {
 	pts := make([]transform.Point, 40)
 	for i := range pts {
@@ -208,13 +440,7 @@ func TestCurveMSEErrors(t *testing.T) {
 func TestLUTFromGHECurve(t *testing.T) {
 	// End-to-end: equalize a noisy image, coarsen to 8 segments, render
 	// a LUT; it must be monotone and match the exact curve closely.
-	m := gray.New(64, 64)
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			m.Set(x, y, uint8(255*rng.FBM(float64(x)/13, float64(y)/13, 4, 77)))
-		}
-	}
-	res, err := equalize.SolveRange(histogram.Of(m), 180)
+	res, err := equalize.SolveRange(histogram.Of(fbmImage(64, 77)), 180)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,17 +504,8 @@ func TestChordTableCollinearZero(t *testing.T) {
 }
 
 func BenchmarkCoarsenGHECurve(b *testing.B) {
-	m := gray.New(128, 128)
-	for y := 0; y < 128; y++ {
-		for x := 0; x < 128; x++ {
-			m.Set(x, y, uint8(255*rng.FBM(float64(x)/13, float64(y)/13, 4, 3)))
-		}
-	}
-	res, err := equalize.SolveRange(histogram.Of(m), 150)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts := res.Points()
+	pts := gheCurve(b, fbmImage(128, 3), 150)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Coarsen(pts, 10); err != nil {
