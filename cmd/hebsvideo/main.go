@@ -76,8 +76,8 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *reuse < 0 {
-		return fmt.Errorf("negative -reuse %v", *reuse)
+	if !(*reuse >= 0) { // also rejects NaN
+		return fmt.Errorf("-reuse must be non-negative, got %v", *reuse)
 	}
 	// The CLI convention maps 0 to "all CPUs"; the policy's own zero
 	// value means inline, which the flag expresses as 1 (the default).

@@ -51,6 +51,8 @@ func TestRunErrors(t *testing.T) {
 		{"-budget", "-5"},
 		{"-budget", "NaN"},
 		{"-reuse", "-1"},
+		{"-reuse", "NaN"},
+		{"-maxstep", "NaN"},
 		{"-notaflag"},
 	}
 	for i, args := range cases {

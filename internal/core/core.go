@@ -19,7 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
 	"sync"
 
 	"hebs/internal/chart"
@@ -69,25 +69,15 @@ type Options struct {
 	Driver *driver.Config
 	// Equalizer selects the histogram-equalization variant for step 2
 	// (the paper's future-work evaluation): EqualizerGHE (default,
-	// Eq. 5–7), EqualizerClipped (contrast-limited) or EqualizerBBHE
-	// (brightness-preserving bi-histogram).
+	// Eq. 5–7), EqualizerClipped (contrast-limited, clip factor 3) or
+	// EqualizerBBHE (brightness-preserving bi-histogram).
 	Equalizer Equalizer
-	// ClipFactor is the contrast limit for EqualizerClipped (>= 1;
-	// 0 means the default of 3).
-	ClipFactor float64
 	// Trace, when non-nil, nests this run's observability spans under
 	// the given parent (the per-frame loop in internal/video uses this
 	// to attribute pipeline time to frames). Nil means each run emits a
 	// root span; with no span sink installed tracing costs nothing
 	// either way.
 	Trace *obs.Span
-	// ZoneMaxGradient bounds the spatial gradient of the per-zone
-	// backlight field in Engine.ProcessZoned: after per-zone range
-	// selection, a raise-only relaxation lifts each zone's β to within
-	// ZoneMaxGradient of its 4-neighbors (halo suppression; see
-	// backlight.Smooth). 0 selects DefaultZoneMaxGradient; a negative
-	// value disables smoothing. Ignored by the global pipeline.
-	ZoneMaxGradient float64
 	// ZoneBetaFloor, when non-empty, raises each zone's β to at least
 	// the given floor before smoothing — this is where the video
 	// governor's dimming slew limits enter the zoned pipeline (raising
@@ -100,45 +90,65 @@ type Options struct {
 // OptionsKey fingerprints the Options fields a frame's range
 // selection, plan and measurements depend on, so cross-call memos (the
 // video scheduler's delta state, the zoned walk's zone state) can tell
-// whether a memo still applies. Trace is pure observability and the
-// zone β-field inputs are recomputed every call, so neither is part of
-// the key.
+// whether a memo still applies. Subsystem and Driver are keyed by the
+// values they point to, so changing the pointee between calls moves
+// the key. Trace is pure observability and the zone β floors are
+// recomputed every call, so neither is part of the key.
 type OptionsKey struct {
 	maxDist   float64
 	dynRange  int
 	exact     bool
 	worstCase bool
 	curve     *chart.Curve
-	segments  int    // resolved: 0 and the default source count match
-	clipBits  uint64 // math.Float64bits(ClipFactor): comparable, NaN-proof
+	segments  int // resolved: 0 and the default source count match
 	eq        Equalizer
-	drv       *driver.Config
-	sub       *power.Subsystem
+	sub       power.Subsystem // resolved: nil and DefaultSubsystem match
+	drv       driver.Config
+	hasDrv    bool
 }
 
 // KeyFor builds the options fingerprint. ok is false when the options
-// cannot be fingerprinted — a custom Metric func is not comparable —
-// and then no memo may survive across calls.
+// cannot be fingerprinted — a custom Metric func, or a Driver whose LC
+// model's dynamic type is not comparable — and then no memo may
+// survive across calls.
 func KeyFor(opts Options) (key OptionsKey, ok bool) {
-	return OptionsKey{
+	if !comparableDriver(opts.Driver) {
+		return OptionsKey{}, false
+	}
+	key = OptionsKey{
 		maxDist:   opts.MaxDistortionPercent,
 		dynRange:  opts.DynamicRange,
 		exact:     opts.ExactSearch,
 		worstCase: opts.WorstCase,
 		curve:     opts.Curve,
 		segments:  resolveSegments(opts.Segments),
-		clipBits:  math.Float64bits(opts.ClipFactor),
 		eq:        opts.Equalizer,
-		drv:       opts.Driver,
-		sub:       opts.Subsystem,
-	}, opts.Metric == nil
+		sub:       power.DefaultSubsystem,
+	}
+	if opts.Subsystem != nil {
+		key.sub = *opts.Subsystem
+	}
+	if opts.Driver != nil {
+		key.drv, key.hasDrv = *opts.Driver, true
+	}
+	return key, opts.Metric == nil
 }
 
-// DefaultZoneMaxGradient is the zone-boundary |Δβ| bound ProcessZoned
-// uses when Options.ZoneMaxGradient is 0: a quarter of full scale per
-// zone step keeps bright objects from sitting against fully-dark
-// neighbor zones without erasing the local-dimming saving.
+// comparableDriver reports whether drv can be compared by value: == on
+// a driver.Config panics when its LC model's dynamic type is not
+// comparable. All shipped LC models are comparable value types.
+func comparableDriver(drv *driver.Config) bool {
+	return drv == nil || drv.LC == nil || reflect.TypeOf(drv.LC).Comparable()
+}
+
+// DefaultZoneMaxGradient is the zone-boundary |Δβ| bound of
+// ProcessZoned's spatial smoothing: a quarter of full scale per zone
+// step keeps bright objects from sitting against fully-dark neighbor
+// zones without erasing the local-dimming saving.
 const DefaultZoneMaxGradient = 0.25
+
+// clipFactor is the contrast limit of EqualizerClipped.
+const clipFactor = 3
 
 // Equalizer names a histogram-equalization variant.
 type Equalizer int
@@ -334,12 +344,11 @@ type Plan struct {
 // dynamic range directly from a histogram — the runtime path on
 // hardware with a histogram estimator. segments <= 0 selects the
 // default driver source count; drv may be nil to skip voltage
-// programming; eq selects the equalization variant (clipFactor as in
-// Options.ClipFactor). The caller's span parents the stage spans
-// (Process passes its run span), and ctx is checked between stages
-// (the PLC DP also checks it per outer-loop row, bounding cancellation
-// latency on large solves).
-func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (*Plan, error) {
+// programming; eq selects the equalization variant. The caller's span
+// parents the stage spans (Process passes its run span), and ctx is
+// checked between stages (the PLC DP also checks it per column,
+// bounding cancellation latency on large solves).
+func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer) (*Plan, error) {
 	if h == nil || h.N == 0 {
 		return nil, errors.New("core: empty histogram")
 	}
@@ -369,9 +378,6 @@ func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Hi
 	case EqualizerGHE:
 		ghe, err = equalize.SolveRangeCtx(ctx, h, r)
 	case EqualizerClipped:
-		if clipFactor == 0 {
-			clipFactor = 3
-		}
 		if err = ctx.Err(); err == nil {
 			ghe, err = equalize.SolveClipped(h, 0, r, clipFactor)
 		}

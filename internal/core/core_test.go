@@ -295,7 +295,7 @@ func TestProcessEqualizerVariantsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clipped, err := Process(img, Options{DynamicRange: 140, Equalizer: EqualizerClipped, ClipFactor: 1.5})
+	clipped, err := Process(img, Options{DynamicRange: 140, Equalizer: EqualizerClipped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 140, 0, &cfg, EqualizerGHE, 0)
+	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 140, 0, &cfg, EqualizerGHE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,20 +411,20 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 
 func TestPlanFromHistogramValidation(t *testing.T) {
 	h := histogram.Of(testImg(t, "lena"))
-	if _, err := planFromHistogramCtx(context.Background(), nil, nil, 100, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, nil, 100, 0, nil, EqualizerGHE); err == nil {
 		t.Error("nil histogram should error")
 	}
-	if _, err := planFromHistogramCtx(context.Background(), nil, h, 0, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, h, 0, 0, nil, EqualizerGHE); err == nil {
 		t.Error("range 0 should error")
 	}
-	if _, err := planFromHistogramCtx(context.Background(), nil, h, 256, 0, nil, EqualizerGHE, 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, h, 256, 0, nil, EqualizerGHE); err == nil {
 		t.Error("range > 255 should error")
 	}
-	if _, err := planFromHistogramCtx(context.Background(), nil, h, 100, 0, nil, Equalizer(9), 0); err == nil {
+	if _, err := planFromHistogramCtx(context.Background(), nil, h, 100, 0, nil, Equalizer(9)); err == nil {
 		t.Error("unknown equalizer should error")
 	}
 	// No driver: still a valid software plan.
-	plan, err := planFromHistogramCtx(context.Background(), nil, h, 100, 4, nil, EqualizerBBHE, 0)
+	plan, err := planFromHistogramCtx(context.Background(), nil, h, 100, 4, nil, EqualizerBBHE)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,13 +86,13 @@ type EngineOptions struct {
 	PlanCacheSize int
 
 	// Workers bounds intra-frame parallelism: sharded histogram
-	// accumulation, sharded Λ application, and the speculative exact
-	// range search. 0 or 1 keeps every stage serial (the default), n >
-	// 1 allows up to n goroutines per stage, and a negative value
-	// selects GOMAXPROCS. Outputs are identical at every setting — the
-	// sharded kernels carry an exact-equality guarantee — and small
-	// frames stay serial regardless (the kernels gate on a per-shard
-	// work floor).
+	// accumulation and sharded Λ application (the exact range search's
+	// probe remaps included; the bisection itself is one serial chain).
+	// 0 or 1 keeps every stage serial (the default), n > 1 allows up to
+	// n goroutines per stage, and a negative value selects GOMAXPROCS.
+	// Outputs are identical at every setting — the sharded kernels
+	// carry an exact-equality guarantee — and small frames stay serial
+	// regardless (the kernels gate on a per-shard work floor).
 	Workers int
 }
 
@@ -338,10 +338,9 @@ func (e *Engine) reconForRange(r int) (*transform.LUT, error) {
 
 // rangeReductionDistortion is chart.RangeReductionDistortion through
 // the engine's reconstruction cache and a caller-provided scratch
-// buffer: numerically identical, allocation-free once warm. shards
-// bounds the remap's intra-frame parallelism (1 = serial; candidate
-// evaluations already running on pool workers pass 1).
-func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image, shards int) (float64, error) {
+// buffer: numerically identical, allocation-free once warm. The remap
+// shards over the engine's workers.
+func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image) (float64, error) {
 	recon, err := e.reconForRange(r)
 	if err != nil {
 		return 0, err
@@ -349,7 +348,7 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 	if metric == nil {
 		metric = chart.UQIMetric
 	}
-	if err := recon.ApplyIntoShards(img, scratch, shards); err != nil {
+	if err := recon.ApplyIntoShards(img, scratch, e.workers); err != nil {
 		return 0, err
 	}
 	return metric(img, scratch)
@@ -358,17 +357,13 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 // minRangeExact is chart.MinRangeExact plus the follow-up predicted
 // distortion measurement, run on pooled scratch state: the smallest
 // dynamic range in [2, 255] whose measured linear range-reduction
-// distortion on this image does not exceed the budget. With engine
-// workers and a frame large enough to amortize the fan-out it
-// delegates to the speculative parallel search, which probes the
-// identical candidate sequence. scratch (img's geometry) is the probe
-// buffer; nil draws one from the engine pool. The zoned walk passes
-// each zone slot's persistent buffer so per-zone searches stop cycling
-// the pool between zone and frame geometries.
-func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
-	if e.workers > 1 && len(img.Pix) >= minSearchPixels {
-		return e.minRangeExactSpec(ctx, img, maxDistortion, metric)
-	}
+// distortion on this image does not exceed the budget. The bisection
+// is one serial chain of probes, each probe's remap sharded over the
+// engine's workers. scratch (img's geometry) is the probe buffer; nil
+// draws one from the engine pool. The zoned walk passes each zone
+// slot's persistent buffer so per-zone searches stop cycling the pool
+// between zone and frame geometries.
+func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
 	if scratch == nil {
 		scratch = e.getGray(img.W, img.H)
 		defer e.putGray(scratch)
@@ -376,7 +371,7 @@ func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistorti
 	lo, hi := 2, transform.Levels-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		d, err := e.rangeReductionDistortion(img, mid, metric, scratch, e.workers)
+		d, err := e.rangeReductionDistortion(img, mid, metric, scratch)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -386,7 +381,7 @@ func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistorti
 			lo = mid + 1
 		}
 	}
-	predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch, e.workers)
+	predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -398,9 +393,9 @@ func (e *Engine) minRangeExact(ctx context.Context, img *gray.Image, maxDistorti
 // the probe buffer scratch (nil = pooled; see minRangeExact); every
 // other mode is the package-level selectRange. Callers validate opts
 // first, so a NaN budget never reaches the search.
-func (e *Engine) selectRange(ctx context.Context, img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
+func (e *Engine) selectRange(img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
 	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
-		return e.minRangeExact(ctx, img, opts.MaxDistortionPercent, opts.Metric, scratch)
+		return e.minRangeExact(img, opts.MaxDistortionPercent, opts.Metric, scratch)
 	}
 	return selectRange(opts)
 }
@@ -421,33 +416,37 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	sp, rsDone := stage(obs.SpanFromContext(ctx), stageRangeSelect)
-	r, predicted, err = e.selectRange(obs.ContextWithSpan(ctx, sp), img, opts, nil)
+	_, rsDone := stage(obs.SpanFromContext(ctx), stageRangeSelect)
+	r, predicted, err = e.selectRange(img, opts, nil)
 	rsDone.end(err)
 	return r, predicted, err
 }
 
 // planFor computes (or retrieves from the plan cache) the Plan for a
 // histogram at range r and resolved segment budget, with stage spans
-// as children of parent.
-func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipFactor float64) (plan *Plan, cached bool, err error) {
+// as children of parent. A driver config that cannot be compared by
+// value bypasses the cache.
+func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer) (plan *Plan, cached bool, err error) {
 	var hash uint64
-	clipBits := math.Float64bits(clipFactor)
-	if e.planShared != nil {
-		hash = planHash(h, r, segments, eq, clipBits)
-		if plan := e.planShared.lookup(hash, h, r, segments, drv, eq, clipBits); plan != nil {
+	shared := e.planShared
+	if !comparableDriver(drv) {
+		shared = nil
+	}
+	if shared != nil {
+		hash = planHash(h, r, segments, eq)
+		if plan := shared.lookup(hash, h, r, segments, drv, eq); plan != nil {
 			mPlanCacheHits.Inc()
 			parent.SetBool("plan_cached", true)
 			return plan, true, nil
 		}
 		mPlanCacheMisses.Inc()
 	}
-	plan, err = planFromHistogramCtx(ctx, parent, h, r, segments, drv, eq, clipFactor)
+	plan, err = planFromHistogramCtx(ctx, parent, h, r, segments, drv, eq)
 	if err != nil {
 		return nil, false, err
 	}
-	if e.planShared != nil {
-		e.planShared.store(hash, h, r, segments, drv, eq, clipBits, plan)
+	if shared != nil {
+		shared.store(hash, h, r, segments, drv, eq, plan)
 	}
 	return plan, false, nil
 }
@@ -508,7 +507,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 		return nil, err
 	}
 	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err := e.selectRange(ctx, img, opts, nil)
+	r, predicted, err := e.selectRange(img, opts, nil)
 	if opts.DynamicRange != 0 && err == nil {
 		// A forced range is a lookup, not a search: it keeps its span so
 		// the trace shows every Figure 4 stage, but only range decisions
@@ -534,8 +533,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	// Steps 2+3: histogram -> Φ -> Λ (+ the PLRD program) — the Plan
 	// stage, the part the LCD controller computes from its histogram
 	// estimator alone.
-	plan, planCached, err := e.planFor(ctx, sp, h, r, segments,
-		opts.Driver, opts.Equalizer, opts.ClipFactor)
+	plan, planCached, err := e.planFor(ctx, sp, h, r, segments, opts.Driver, opts.Equalizer)
 	if err != nil {
 		return nil, err
 	}

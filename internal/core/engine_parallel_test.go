@@ -12,8 +12,9 @@ import (
 // TestEngineParallelProcessEqualsSerial: a workers>1 engine produces
 // byte-identical output (frame, plan, measurements) to a serial one,
 // across the suite and option shapes that exercise every parallel
-// kernel — sharded histogram/apply via large frames, the speculative
-// exact search, and the direct-range path.
+// kernel at 256² — sharded histogram accumulation, sharded Λ apply
+// and the exact search's sharded probe remaps — and the direct-range
+// path. It is the guard that the worker count is never a quality knob.
 func TestEngineParallelProcessEqualsSerial(t *testing.T) {
 	ctx := context.Background()
 	suite, err := sipi.Suite(256, 256)
@@ -86,53 +87,6 @@ func TestEngineParallelColorEqualsSerial(t *testing.T) {
 	want.Release()
 	if inUse := par.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak: %d buffers in use", inUse)
-	}
-}
-
-// TestSpecDepth: the speculation depth is the largest d with
-// 2^d − 1 <= workers, at least 1, at most the 8 levels bisection over
-// 254 candidates can ever take.
-func TestSpecDepth(t *testing.T) {
-	cases := []struct{ workers, want int }{
-		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {6, 2}, {7, 3}, {8, 3},
-		{15, 4}, {16, 4}, {255, 8}, {100000, 8},
-	}
-	for _, c := range cases {
-		if got := specDepth(c.workers); got != c.want {
-			t.Errorf("specDepth(%d) = %d, want %d", c.workers, got, c.want)
-		}
-	}
-}
-
-// TestMinRangeExactSpecMatchesSerial drives the speculative search
-// directly against the serial bisection over a sweep of budgets, on a
-// frame above the size gate.
-func TestMinRangeExactSpecMatchesSerial(t *testing.T) {
-	ctx := context.Background()
-	img, err := sipi.Generate("west", 256, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := NewEngine(EngineOptions{})
-	for _, workers := range []int{2, 3, 7, 16} {
-		par := NewEngine(EngineOptions{Workers: workers})
-		for _, budget := range []float64{0.5, 2, 5, 10, 20, 50, 99} {
-			wantR, wantD, err := serial.minRangeExact(ctx, img, budget, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotR, gotD, err := par.minRangeExactSpec(ctx, img, budget, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotR != wantR || gotD != wantD { //hebslint:allow floateq
-				t.Fatalf("workers=%d budget=%v: spec (R=%d d=%v) != serial (R=%d d=%v)",
-					workers, budget, gotR, gotD, wantR, wantD)
-			}
-		}
-		if inUse := par.PoolStats().InUse(); inUse != 0 {
-			t.Fatalf("workers=%d: search leaked %d scratch buffers", workers, inUse)
-		}
 	}
 }
 

@@ -129,15 +129,14 @@ func TestEngineStagesComposeLikeProcess(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	r, _, err := eng.selectRange(ctx, img, opts, nil)
+	r, _, err := eng.selectRange(img, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r != want.Range {
 		t.Fatalf("selectRange range %d != Process range %d", r, want.Range)
 	}
-	plan, _, err := eng.planFor(ctx, nil, histogram.Of(img), r, resolveSegments(opts.Segments),
-		opts.Driver, opts.Equalizer, opts.ClipFactor)
+	plan, _, err := eng.planFor(ctx, nil, histogram.Of(img), r, resolveSegments(opts.Segments), opts.Driver, opts.Equalizer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,25 +46,25 @@ type planEntry struct {
 	r        int
 	segments int
 	eq       Equalizer
-	clipBits uint64
-	drv      *driver.Config
+	drv      driver.Config // the driver config by value; zero when !hasDrv
+	hasDrv   bool
 	plan     *Plan
 }
 
 // planKeyMatches reports whether e matches the full lookup key —
 // operating point first (cheap), then the bins in full (hash-collision
-// guard).
-func (e *planEntry) planKeyMatches(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipBits uint64) bool {
+// guard). drv must satisfy comparableDriver.
+func (e *planEntry) planKeyMatches(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer) bool {
 	if e.hash != hash || e.n != h.N || e.r != r || e.segments != segments ||
-		e.eq != eq || e.clipBits != clipBits || e.drv != drv {
+		e.eq != eq || e.hasDrv != (drv != nil) || (drv != nil && e.drv != *drv) {
 		return false
 	}
 	return e.bins == h.Bins
 }
 
 // planHash is FNV-1a over the bins and the operating point. The driver
-// config is compared by pointer identity at lookup and not hashed.
-func planHash(h *histogram.Histogram, r, segments int, eq Equalizer, clipBits uint64) uint64 {
+// config is compared by value at lookup and not hashed.
+func planHash(h *histogram.Histogram, r, segments int, eq Equalizer) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -84,7 +84,6 @@ func planHash(h *histogram.Histogram, r, segments int, eq Equalizer, clipBits ui
 	mix(uint64(r))
 	mix(uint64(segments))
 	mix(uint64(int64(eq)))
-	mix(clipBits)
 	return x
 }
 
@@ -129,13 +128,13 @@ func (s *planShards) shardFor(hash uint64) *planShard {
 	return &s.shards[hash>>(64-4)&(planCacheShards-1)]
 }
 
-func (s *planShards) lookup(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipBits uint64) *Plan {
+func (s *planShards) lookup(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer) *Plan {
 	sh := s.shardFor(hash)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i := len(sh.entries) - 1; i >= 0; i-- {
 		e := sh.entries[i]
-		if !e.planKeyMatches(hash, h, r, segments, drv, eq, clipBits) {
+		if !e.planKeyMatches(hash, h, r, segments, drv, eq) {
 			continue
 		}
 		copy(sh.entries[i:], sh.entries[i+1:])
@@ -147,11 +146,14 @@ func (s *planShards) lookup(hash uint64, h *histogram.Histogram, r, segments int
 	return nil
 }
 
-func (s *planShards) store(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, clipBits uint64, plan *Plan) {
+func (s *planShards) store(hash uint64, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer, plan *Plan) {
 	e := &planEntry{
 		hash: hash, bins: h.Bins, n: h.N,
-		r: r, segments: segments, eq: eq, clipBits: clipBits, drv: drv,
+		r: r, segments: segments, eq: eq,
 		plan: plan,
+	}
+	if drv != nil {
+		e.drv, e.hasDrv = *drv, true
 	}
 	sh := s.shardFor(hash)
 	sh.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"hebs/internal/driver"
 	"hebs/internal/histogram"
 )
 
@@ -18,26 +19,27 @@ func histWithSeed(seed int) *histogram.Histogram {
 }
 
 // TestPlanShardsExactMatch: a stored plan is returned only for the
-// exact (bins, N, range, segments, equalizer, clip, driver) key — any
-// deviation is a miss, never a wrong plan.
+// exact (bins, N, range, segments, equalizer, driver) key — any
+// deviation is a miss, never a wrong plan. The driver config matches
+// by value, not by pointer.
 func TestPlanShardsExactMatch(t *testing.T) {
 	s := newPlanShards()
 	h := histWithSeed(1)
 	plan := &Plan{Range: 200}
-	hash := planHash(h, 200, 8, EqualizerGHE, 0)
-	s.store(hash, h, 200, 8, nil, EqualizerGHE, 0, plan)
+	hash := planHash(h, 200, 8, EqualizerGHE)
+	s.store(hash, h, 200, 8, nil, EqualizerGHE, plan)
 
-	if got := s.lookup(hash, h, 200, 8, nil, EqualizerGHE, 0); got != plan {
+	if got := s.lookup(hash, h, 200, 8, nil, EqualizerGHE); got != plan {
 		t.Fatal("exact key did not hit")
 	}
-	if got := s.lookup(planHash(h, 201, 8, EqualizerGHE, 0), h, 201, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(planHash(h, 201, 8, EqualizerGHE), h, 201, 8, nil, EqualizerGHE); got != nil {
 		t.Error("different range hit")
 	}
-	if got := s.lookup(planHash(h, 200, 9, EqualizerGHE, 0), h, 200, 9, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(planHash(h, 200, 9, EqualizerGHE), h, 200, 9, nil, EqualizerGHE); got != nil {
 		t.Error("different segment budget hit")
 	}
 	h2 := histWithSeed(2)
-	if got := s.lookup(planHash(h2, 200, 8, EqualizerGHE, 0), h2, 200, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(planHash(h2, 200, 8, EqualizerGHE), h2, 200, 8, nil, EqualizerGHE); got != nil {
 		t.Error("different histogram hit")
 	}
 	// Same hash, different bins (forced collision): the full-bins
@@ -45,8 +47,26 @@ func TestPlanShardsExactMatch(t *testing.T) {
 	h3 := histWithSeed(1)
 	h3.Bins[7]++
 	h3.Bins[9]--
-	if got := s.lookup(hash, h3, 200, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(hash, h3, 200, 8, nil, EqualizerGHE); got != nil {
 		t.Error("forced hash collision returned a foreign plan")
+	}
+
+	cfg := driver.DefaultConfig
+	if got := s.lookup(hash, h, 200, 8, &cfg, EqualizerGHE); got != nil {
+		t.Error("driver-less plan served to a driver lookup")
+	}
+	drvPlan := &Plan{Range: 200}
+	s.store(hash, h, 200, 8, &cfg, EqualizerGHE, drvPlan)
+	same := driver.DefaultConfig
+	if got := s.lookup(hash, h, 200, 8, &same, EqualizerGHE); got != drvPlan {
+		t.Error("equal driver config behind another pointer did not hit")
+	}
+	cfg.Vdd = 5
+	if got := s.lookup(hash, h, 200, 8, &cfg, EqualizerGHE); got != nil {
+		t.Error("mutated driver config hit the plan stored before the change")
+	}
+	if got := s.lookup(hash, h, 200, 8, nil, EqualizerGHE); got != plan {
+		t.Error("driver-less lookup lost its own plan")
 	}
 }
 
@@ -63,7 +83,7 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 	const shardHash = uint64(3) << 60
 	h := histWithSeed(5)
 	for i := 0; i < planShardCap+4; i++ {
-		s.store(shardHash, h, 2+i, 8, nil, EqualizerGHE, 0, &Plan{Range: 2 + i})
+		s.store(shardHash, h, 2+i, 8, nil, EqualizerGHE, &Plan{Range: 2 + i})
 	}
 	if got := len(sh.entries); got != planShardCap {
 		t.Fatalf("shard holds %d entries, want cap %d", got, planShardCap)
@@ -72,10 +92,10 @@ func TestPlanShardsEvictionAndMetrics(t *testing.T) {
 		t.Errorf("evictions %d, want 4", got)
 	}
 	// The 4 oldest entries are gone; the newest still hit.
-	if got := s.lookup(shardHash, h, 2, 8, nil, EqualizerGHE, 0); got != nil {
+	if got := s.lookup(shardHash, h, 2, 8, nil, EqualizerGHE); got != nil {
 		t.Error("evicted entry still served")
 	}
-	if got := s.lookup(shardHash, h, 2+planShardCap+3, 8, nil, EqualizerGHE, 0); got == nil {
+	if got := s.lookup(shardHash, h, 2+planShardCap+3, 8, nil, EqualizerGHE); got == nil {
 		t.Error("newest entry missing")
 	}
 	if got := sh.hits.Value() - hits0; got != 1 {
@@ -101,9 +121,9 @@ func TestPlanShardsConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				h := histWithSeed(i % 23)
 				r := 2 + (i+w)%250
-				hash := planHash(h, r, 8, EqualizerGHE, 0)
-				if s.lookup(hash, h, r, 8, nil, EqualizerGHE, 0) == nil {
-					s.store(hash, h, r, 8, nil, EqualizerGHE, 0, &Plan{Range: r})
+				hash := planHash(h, r, 8, EqualizerGHE)
+				if s.lookup(hash, h, r, 8, nil, EqualizerGHE) == nil {
+					s.store(hash, h, r, 8, nil, EqualizerGHE, &Plan{Range: r})
 				}
 			}
 		}(w)

@@ -261,7 +261,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		z.mValid = false
 		z.plan = nil
 		copyRect(img, z.img, z.x0, z.y0)
-		r, _, err := e.selectRange(ctx, z.img, opts, z.scratch)
+		r, _, err := e.selectRange(z.img, opts, z.scratch)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -280,7 +280,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	for k := range st.slots {
 		st.rs[k] = st.slots[k].r
 	}
-	sweeps, maxGrad, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
+	sweeps, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
 	if err != nil {
 		return nil, err
 	}
@@ -340,8 +340,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		zsp := sp.Child("engine.zone")
 		defer zsp.End()
 		zsp.SetInt("zone", k)
-		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments,
-			opts.Driver, opts.Equalizer, opts.ClipFactor)
+		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments, opts.Driver, opts.Equalizer)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -418,7 +417,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 			st.frameValid = true
 		}
 	}
-	finalizeZoned(res, st.befores, st.targets, st.betas, g, maxGrad, sweeps, sp)
+	finalizeZoned(res, st.befores, st.targets, st.betas, g, sweeps, sp)
 	sealed = true
 	return res, nil
 }
@@ -427,13 +426,12 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 // from the analyzed ranges rs, floors (the video governor's slew
 // limits), the spatial relaxation, then the backend's drive grid.
 // targets, betas and rngs are filled in place (each of length
-// len(rs)). Returns the relaxation sweep count and the resolved
-// gradient bound.
-func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, maxGrad float64, err error) {
+// len(rs)). Returns the relaxation sweep count.
+func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, err error) {
 	for k := range rs {
 		beta, err := power.BetaForRange(rs[k], transform.Levels)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		targets[k] = beta
 		betas[k] = beta
@@ -443,18 +441,14 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 			betas[k] = f
 		}
 	}
-	maxGrad = opts.ZoneMaxGradient
-	if maxGrad == 0 {
-		maxGrad = DefaultZoneMaxGradient
-	}
-	sweeps, err = backlight.Smooth(betas, g, maxGrad)
+	sweeps, err = backlight.Smooth(betas, g, DefaultZoneMaxGradient)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	for k := range betas {
 		q := b.QuantizeBeta(betas[k])
 		if q < betas[k] || q > 1 || q != q {
-			return 0, 0, fmt.Errorf("core: backend %s quantized zone %d β %v to %v (must round up within [0,1])",
+			return 0, fmt.Errorf("core: backend %s quantized zone %d β %v to %v (must round up within [0,1])",
 				b.Name(), k, betas[k], q)
 		}
 		betas[k] = q
@@ -465,10 +459,10 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 		}
 		rngs[k], err = power.RangeForBeta(betas[k], transform.Levels)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	return sweeps, maxGrad, nil
+	return sweeps, nil
 }
 
 // finalizeZoned is the walk's tail: the serial reduction in zone
@@ -476,7 +470,7 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 // 1×1, identical to the legacy Subsystem.Power accumulation), the
 // invariant checks and the run telemetry. res.Zones and befores must
 // be fully populated.
-func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, g backlight.Grid, maxGrad float64, sweeps int, sp *obs.Span) {
+func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, g backlight.Grid, sweeps int, sp *obs.Span) {
 	res.BetaMin, res.BetaMax = betas[0], betas[0]
 	var sum float64
 	for k := range res.Zones {
@@ -500,19 +494,17 @@ func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, bet
 			invariant.Assert(betas[k] >= targets[k],
 				"core: zone %d applied β %v below its own optimum %v", k, betas[k], targets[k])
 		}
-		if maxGrad > 0 {
-			// Quantization may re-open the smoothed gradient by at most
-			// one drive step.
-			step := 1.0 / float64(transform.Levels-1)
-			for k := range betas {
-				if k%g.Cols+1 < g.Cols {
-					invariant.Assert(betas[k]-betas[k+1] <= maxGrad+step+1e-9 && betas[k+1]-betas[k] <= maxGrad+step+1e-9,
-						"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+1], maxGrad)
-				}
-				if k/g.Cols+1 < g.Rows {
-					invariant.Assert(betas[k]-betas[k+g.Cols] <= maxGrad+step+1e-9 && betas[k+g.Cols]-betas[k] <= maxGrad+step+1e-9,
-						"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+g.Cols], maxGrad)
-				}
+		// Quantization may re-open the smoothed gradient by at most one
+		// drive step.
+		bound := DefaultZoneMaxGradient + 1.0/float64(transform.Levels-1) + 1e-9
+		for k := range betas {
+			if k%g.Cols+1 < g.Cols {
+				invariant.Assert(betas[k]-betas[k+1] <= bound && betas[k+1]-betas[k] <= bound,
+					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+1], DefaultZoneMaxGradient)
+			}
+			if k/g.Cols+1 < g.Rows {
+				invariant.Assert(betas[k]-betas[k+g.Cols] <= bound && betas[k+g.Cols]-betas[k] <= bound,
+					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+g.Cols], DefaultZoneMaxGradient)
 			}
 		}
 	}

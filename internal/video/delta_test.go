@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"hebs/internal/core"
+	"hebs/internal/gray"
 	"hebs/internal/obs"
+	"hebs/internal/power"
 )
 
 // checkSharedEngineAcrossClips runs several clips back to back through
@@ -126,5 +128,38 @@ func TestDeltaPolicyValidation(t *testing.T) {
 	pol.TileSize = 4
 	if _, err := Process(seq, pol); err == nil {
 		t.Error("TileSize below minimum accepted")
+	}
+}
+
+// TestStaleMemoSubsystemMutation: a delta-analysis clip run twice with
+// the same Subsystem pointer, the pointee's panel model changed in
+// between, must report the new model's savings. The pooled delta
+// state's fused frames copy a memoized measurement record, so keying
+// it on the pointer would replay the old model's numbers.
+func TestStaleMemoSubsystemMutation(t *testing.T) {
+	f := darkFrame(t)
+	seq, err := NewSequence([]*gray.Image{f, f, f, f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := power.DefaultSubsystem
+	pol := Policy{DeltaAnalysis: true, Options: core.Options{DynamicRange: 150, Subsystem: &sub}}
+	if _, err := Process(seq, pol); err != nil {
+		t.Fatal(err)
+	}
+	sub.TFT.C *= 3
+	got, err := Process(seq, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := sub
+	want, err := Process(seq, Policy{Options: core.Options{DynamicRange: 150, Subsystem: &fresh}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Frames {
+		if got.Frames[i].SavingPercent != want.Frames[i].SavingPercent { //hebslint:allow floateq
+			t.Errorf("frame %d: saving %.4f%%, fresh run %.4f%%", i, got.Frames[i].SavingPercent, want.Frames[i].SavingPercent)
+		}
 	}
 }

@@ -223,8 +223,9 @@ func ProcessContext(ctx context.Context, seq *Sequence, pol Policy) (*Result, er
 	if seq == nil || len(seq.Frames) == 0 {
 		return nil, errors.New("video: empty sequence")
 	}
-	if pol.MaxStep < 0 || pol.CutThreshold < 0 || pol.ReuseThreshold < 0 || pol.TileSize < 0 {
-		return nil, fmt.Errorf("video: negative policy parameters %+v", pol)
+	// !(x >= 0) also rejects NaN, which would silently disable the feature.
+	if !(pol.MaxStep >= 0) || !(pol.CutThreshold >= 0) || !(pol.ReuseThreshold >= 0) || pol.TileSize < 0 {
+		return nil, fmt.Errorf("video: negative or NaN policy parameters %+v", pol)
 	}
 	if pol.Backend != nil {
 		if c, ok := pol.Backend.(*backlight.CCFL); ok {

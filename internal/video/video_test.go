@@ -269,6 +269,18 @@ func TestProcessValidation(t *testing.T) {
 	if _, err := Process(seq, Policy{CutThreshold: -1}); err == nil {
 		t.Error("negative CutThreshold should error")
 	}
+	// NaN passes a "< 0" check; with an otherwise valid policy it must
+	// still be rejected rather than silently disable the feature.
+	valid := core.Options{DynamicRange: 150}
+	for name, pol := range map[string]Policy{
+		"MaxStep":        {MaxStep: math.NaN(), Options: valid},
+		"CutThreshold":   {CutThreshold: math.NaN(), Options: valid},
+		"ReuseThreshold": {ReuseThreshold: math.NaN(), Options: valid},
+	} {
+		if _, err := Process(seq, pol); err == nil {
+			t.Errorf("NaN %s should error", name)
+		}
+	}
 	// Options with no budget/range propagate core's validation error.
 	if _, err := Process(seq, Policy{}); err == nil {
 		t.Error("missing budget should error")
