@@ -46,6 +46,7 @@ FUZZ_TARGETS := \
 	FuzzSolveRange:./internal/equalize \
 	FuzzCoarsen:./internal/plc \
 	FuzzDetectCuts:./internal/video \
+	FuzzZonedWalk:./internal/video \
 	FuzzOfIntoShards:./internal/histogram \
 	FuzzDeltaHistogram:./internal/histogram \
 	FuzzDecodePNM:./internal/imageio \

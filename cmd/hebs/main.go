@@ -242,7 +242,7 @@ func run(args []string, out io.Writer) (err error) {
 // reports the zone field instead of the single-β program.
 func runZoned(ctx context.Context, eng *core.Engine, img *gray.Image, opts core.Options,
 	b backlight.Backend, outPath string, zoneTable bool, out io.Writer) error {
-	zr, err := eng.ProcessZoned(ctx, img, opts, b)
+	zr, err := eng.ProcessZoned(ctx, img, opts, b, nil)
 	if err != nil {
 		return err
 	}

@@ -572,15 +572,13 @@ func runPerf(ctx context.Context, workers int, delta bool, tileSize int) ([]perf
 			return nil, err
 		}
 		// The zoned fast path's unchanged-zone win: the talking-head
-		// clip through the same 4×4 array with delta analysis on. The
-		// animated mouth patch keeps the whole-frame replay from ever
-		// firing, so what this record tracks is the per-zone skip — the
-		// untouched zones replay their certified programs every frame
-		// while only the patch's zones re-analyze.
-		zspol := zpol
-		zspol.DeltaAnalysis = true
+		// clip through the same 4×4 array. The animated mouth patch
+		// keeps core's whole-frame replay from ever firing, so what this
+		// record tracks is the per-zone skip — the untouched zones
+		// replay their certified programs every frame while only the
+		// patch's zones re-analyze.
 		if err := record("video/zonedstatic16", w, func() error {
-			_, err := video.ProcessContext(ctx, talkSeq, zspol)
+			_, err := video.ProcessContext(ctx, talkSeq, zpol)
 			return err
 		}); err != nil {
 			return nil, err

@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) (err error) {
 	maxStep := fs.Float64("maxstep", 0.04, "maximum per-frame dimming step (0 disables smoothing)")
 	cutDetect := fs.Bool("cutdetect", true, "use histogram scene-cut detection for snapping")
 	reuse := fs.Float64("reuse", 0, "static-scene reuse threshold in EMD levels (0 disables)")
-	delta := fs.Bool("delta", false, "incremental tiled histogram analysis with the fused static-frame fast path")
+	delta := fs.Bool("delta", false, "incremental tiled histogram analysis with the fused static-frame fast path (classic walk; zoned backends always replay unchanged zones)")
 	tileSize := fs.Int("tile-size", 0, "delta-analysis tile edge in pixels (0 = default 64)")
 	size := fs.Int("size", 96, "frame edge length")
 	workers := fs.Int("workers", 1, "worker goroutines for the clip scheduler (0 = all CPUs, 1 = inline, no goroutines)")

@@ -78,13 +78,6 @@ type Options struct {
 	// root span; with no span sink installed tracing costs nothing
 	// either way.
 	Trace *obs.Span
-	// ZoneBetaFloor, when non-empty, raises each zone's β to at least
-	// the given floor before smoothing — this is where the video
-	// governor's dimming slew limits enter the zoned pipeline (raising
-	// β only enlarges a zone's admissible range, so floors never
-	// violate the distortion budget). Length must equal the backend's
-	// zone count. Ignored by the global pipeline.
-	ZoneBetaFloor []float64
 }
 
 // OptionsKey fingerprints the Options fields a frame's range
@@ -92,8 +85,7 @@ type Options struct {
 // video scheduler's delta state, the zoned walk's zone state) can tell
 // whether a memo still applies. Subsystem and Driver are keyed by the
 // values they point to, so changing the pointee between calls moves
-// the key. Trace is pure observability and the zone β floors are
-// recomputed every call, so neither is part of the key.
+// the key. Trace is pure observability and the only field left out.
 type OptionsKey struct {
 	maxDist   float64
 	dynRange  int

@@ -354,10 +354,11 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 	return metric(img, scratch)
 }
 
-// minRangeExact is chart.MinRangeExact plus the follow-up predicted
-// distortion measurement, run on pooled scratch state: the smallest
-// dynamic range in [2, 255] whose measured linear range-reduction
-// distortion on this image does not exceed the budget. The bisection
+// minRangeExact is chart.MinRangeExact plus the predicted distortion,
+// run on pooled scratch state: the smallest dynamic range in [2, 255]
+// whose measured linear range-reduction distortion on this image does
+// not exceed the budget, and that distortion — the last passing
+// probe's, measured anew only when none passed (R = 255). The bisection
 // is one serial chain of probes, each probe's remap sharded over the
 // engine's workers. scratch (img's geometry) is the probe buffer; nil
 // draws one from the engine pool. The zoned walk passes each zone
@@ -369,6 +370,7 @@ func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric ch
 		defer e.putGray(scratch)
 	}
 	lo, hi := 2, transform.Levels-1
+	hiProbed := false // a passing probe measured hi into predicted
 	for lo < hi {
 		mid := (lo + hi) / 2
 		d, err := e.rangeReductionDistortion(img, mid, metric, scratch)
@@ -376,14 +378,16 @@ func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric ch
 			return 0, 0, err
 		}
 		if d <= maxDistortion {
-			hi = mid
+			hi, predicted, hiProbed = mid, d, true
 		} else {
 			lo = mid + 1
 		}
 	}
-	predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch)
-	if err != nil {
-		return 0, 0, err
+	if !hiProbed {
+		predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch)
+		if err != nil {
+			return 0, 0, err
+		}
 	}
 	return lo, predicted, nil
 }

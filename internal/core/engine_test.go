@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hebs/internal/backlight"
+	"hebs/internal/chart"
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
@@ -110,7 +111,7 @@ func TestNaNBudgetRejected(t *testing.T) {
 		if r, _, err := eng.SelectRange(ctx, img, opts); err == nil {
 			t.Errorf("exact=%v: SelectRange accepted a NaN budget (R=%d)", exact, r)
 		}
-		if _, err := eng.ProcessZoned(ctx, img, opts, led); err == nil {
+		if _, err := eng.ProcessZoned(ctx, img, opts, led, nil); err == nil {
 			t.Errorf("exact=%v: ProcessZoned accepted a NaN budget", exact)
 		}
 	}
@@ -263,5 +264,60 @@ func TestEngineProcessColorRelease(t *testing.T) {
 	res.Release()
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak after color release: %d buffers in use", inUse)
+	}
+}
+
+// TestMinRangeExactMeasuresEachRangeOnce: the exact search measures no
+// range twice — the predicted distortion is the last passing probe's,
+// not a re-measurement — and still agrees with the chart oracle's
+// range and with a fresh measurement at that range. The oracle replays
+// the bisection: its probes are distinct ranges, and only a search
+// that ends on the never-probed full range 255 measures one more. A
+// zero budget exercises that path on an image whose reductions all
+// lose a level.
+func TestMinRangeExactMeasuresEachRangeOnce(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	for _, fx := range []string{"lena", "baboon"} {
+		img := testImg(t, fx)
+		for _, budget := range []float64{0, 5, 10, 20} {
+			calls := 0
+			metric := func(a, b *gray.Image) (float64, error) {
+				calls++
+				return chart.UQIMetric(a, b)
+			}
+			r, predicted, err := eng.minRangeExact(img, budget, metric, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranges := 0
+			lo, hi := 2, 255
+			for lo < hi {
+				mid := (lo + hi) / 2
+				ranges++
+				d, err := chart.RangeReductionDistortion(img, mid, chart.UQIMetric)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d <= budget {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			if lo == 255 {
+				ranges++
+			}
+			if calls != ranges {
+				t.Errorf("%s budget %v: %d measurements of %d distinct ranges", fx, budget, calls, ranges)
+			}
+			fresh, err := chart.RangeReductionDistortion(img, r, chart.UQIMetric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			//hebslint:allow floateq the kept probe value is the measurement, bit for bit
+			if r != lo || predicted != fresh {
+				t.Errorf("%s budget %v: (R=%d, D=%v), want the oracle's R=%d and D=%v", fx, budget, r, predicted, lo, fresh)
+			}
+		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // keyExempt lists the Options fields KeyFor deliberately leaves out of
-// the fingerprint (see the OptionsKey doc): Trace is observability and
-// the zone β floors are recomputed on every call.
-var keyExempt = map[string]bool{"Trace": true, "ZoneBetaFloor": true}
+// the fingerprint (see the OptionsKey doc): Trace is observability.
+var keyExempt = map[string]bool{"Trace": true}
 
 // nonZeroValue returns a non-zero value of type t, or false when the
 // test does not know how to build one for that kind.

@@ -6,7 +6,8 @@
 // plans share the process-wide sharded plan cache (a zone histogram is
 // just a histogram), and a raise-only spatial relaxation
 // (backlight.Smooth) bounds the β gradient across zone boundaries to
-// suppress halo and blocking artifacts. Driven by a 1×1 CCFL backend
+// suppress halo and blocking artifacts; a caller's ZoneFloors hook (the
+// video governor) raises zones before it. Driven by a 1×1 CCFL backend
 // the path degenerates to exactly the classic pipeline — byte-identical
 // frames, bit-identical numbers — which is what TestBackendEquivalence
 // pins.
@@ -25,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"hebs/internal/backlight"
 	"hebs/internal/chart"
@@ -59,8 +61,8 @@ func (e *ZoneGridError) Error() string {
 		e.Rows, e.Cols, e.W, e.H)
 }
 
-// ZoneFloorLengthError reports an Options.ZoneBetaFloor whose length
-// does not match the backend's zone count.
+// ZoneFloorLengthError reports a ZoneFloors result whose length does
+// not match the backend's zone count.
 type ZoneFloorLengthError struct {
 	Got, Zones int
 }
@@ -68,6 +70,14 @@ type ZoneFloorLengthError struct {
 func (e *ZoneFloorLengthError) Error() string {
 	return fmt.Sprintf("core: %d zone β floors for a %d-zone backend", e.Got, e.Zones)
 }
+
+// ZoneFloors is ProcessZoned's β-floor hook, the temporal governor's
+// way in. Phase B calls it once, after the per-zone analysis, with the
+// zones' own targets β = R/(G−1) (read-only, valid during the call),
+// and raises each zone to its returned floor before smoothing: one
+// floor in [0,1] per zone, or nil for none. A raised β only enlarges a
+// zone's admissible range, so floors never violate the budget.
+type ZoneFloors func(targets []float64) []float64
 
 // ZoneResult is one zone's operating point in a zoned run.
 type ZoneResult struct {
@@ -197,7 +207,7 @@ func copyRect(src, dst *gray.Image, x0, y0 int) {
 // plan (shared cache) and apply kernels — byte-identical Transformed
 // pixels, bit-identical distortion and (for the CCFL backend)
 // bit-identical power numbers.
-func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options, b backlight.Backend) (*ZonedResult, error) {
+func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options, b backlight.Backend, floors ZoneFloors) (*ZonedResult, error) {
 	if img == nil {
 		return nil, errNilImage
 	}
@@ -216,14 +226,6 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		return nil, &ZoneGridError{Rows: g.Rows, Cols: g.Cols, W: img.W, H: img.H}
 	}
 	zones := g.Zones()
-	if len(opts.ZoneBetaFloor) != 0 && len(opts.ZoneBetaFloor) != zones {
-		return nil, &ZoneFloorLengthError{Got: len(opts.ZoneBetaFloor), Zones: zones}
-	}
-	for k, f := range opts.ZoneBetaFloor {
-		if f != f || f < 0 || f > 1 {
-			return nil, fmt.Errorf("core: zone %d β floor %v outside [0,1]", k, f)
-		}
-	}
 	metric := opts.Metric
 	if metric == nil {
 		metric = chart.UQIMetric
@@ -280,7 +282,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	for k := range st.slots {
 		st.rs[k] = st.slots[k].r
 	}
-	sweeps, err := betaField(opts, b, g, st.rs, st.targets, st.betas, st.rngs)
+	sweeps, err := betaField(floors, b, g, st.rs, st.targets, st.betas, st.rngs)
 	if err != nil {
 		return nil, err
 	}
@@ -417,17 +419,17 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 			st.frameValid = true
 		}
 	}
-	finalizeZoned(res, st.befores, st.targets, st.betas, g, sweeps, sp)
+	finalizeZoned(res, st.befores, st.targets, st.betas, sweeps, sp)
 	sealed = true
 	return res, nil
 }
 
 // betaField is phase B — the serial β-field pass: per-zone targets
-// from the analyzed ranges rs, floors (the video governor's slew
-// limits), the spatial relaxation, then the backend's drive grid.
-// targets, betas and rngs are filled in place (each of length
-// len(rs)). Returns the relaxation sweep count.
-func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, err error) {
+// from the analyzed ranges rs, the floors hook's floors, the spatial
+// relaxation, then the backend's drive grid. targets, betas and rngs
+// are filled in place (each of length len(rs)). Returns the
+// relaxation sweep count.
+func betaField(floors ZoneFloors, b backlight.Backend, g backlight.Grid, rs []int, targets, betas []float64, rngs []int) (sweeps int, err error) {
 	for k := range rs {
 		beta, err := power.BetaForRange(rs[k], transform.Levels)
 		if err != nil {
@@ -436,21 +438,32 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 		targets[k] = beta
 		betas[k] = beta
 	}
-	for k, f := range opts.ZoneBetaFloor {
-		if f > betas[k] {
-			betas[k] = f
+	if floors != nil {
+		fs := floors(targets)
+		if len(fs) != 0 && len(fs) != len(betas) {
+			return 0, &ZoneFloorLengthError{Got: len(fs), Zones: len(betas)}
+		}
+		for k, f := range fs {
+			if f != f || f < 0 || f > 1 {
+				return 0, fmt.Errorf("core: zone %d β floor %v outside [0,1]", k, f)
+			}
+			if f > betas[k] {
+				betas[k] = f
+			}
 		}
 	}
 	sweeps, err = backlight.Smooth(betas, g, DefaultZoneMaxGradient)
 	if err != nil {
 		return 0, err
 	}
+	maxRaise := 0.0 // the largest quantization raise, for the gradient check
 	for k := range betas {
 		q := b.QuantizeBeta(betas[k])
 		if q < betas[k] || q > 1 || q != q {
 			return 0, fmt.Errorf("core: backend %s quantized zone %d β %v to %v (must round up within [0,1])",
 				b.Name(), k, betas[k], q)
 		}
+		maxRaise = max(maxRaise, q-betas[k])
 		betas[k] = q
 		//hebslint:allow floateq an untouched zone keeps its analyzed range exactly (no β→R round trip)
 		if betas[k] == targets[k] {
@@ -462,6 +475,21 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 			return 0, err
 		}
 	}
+	if invariant.Enabled {
+		// Rounding up re-opens the smoothed gradient by at most the
+		// largest raise: under one drive step (1/15 at 4-bit PWM).
+		bound := DefaultZoneMaxGradient + maxRaise + 1e-9
+		for k := range betas {
+			if k%g.Cols+1 < g.Cols {
+				invariant.Assert(math.Abs(betas[k]-betas[k+1]) <= bound,
+					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+1], bound)
+			}
+			if k/g.Cols+1 < g.Rows {
+				invariant.Assert(math.Abs(betas[k]-betas[k+g.Cols]) <= bound,
+					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+g.Cols], bound)
+			}
+		}
+	}
 	return sweeps, nil
 }
 
@@ -470,7 +498,7 @@ func betaField(opts Options, b backlight.Backend, g backlight.Grid, rs []int, ta
 // 1×1, identical to the legacy Subsystem.Power accumulation), the
 // invariant checks and the run telemetry. res.Zones and befores must
 // be fully populated.
-func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, g backlight.Grid, sweeps int, sp *obs.Span) {
+func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, betas []float64, sweeps int, sp *obs.Span) {
 	res.BetaMin, res.BetaMax = betas[0], betas[0]
 	var sum float64
 	for k := range res.Zones {
@@ -493,19 +521,6 @@ func finalizeZoned(res *ZonedResult, befores []backlight.ZonePower, targets, bet
 			invariant.AssertBeta("core: zone β", betas[k])
 			invariant.Assert(betas[k] >= targets[k],
 				"core: zone %d applied β %v below its own optimum %v", k, betas[k], targets[k])
-		}
-		// Quantization may re-open the smoothed gradient by at most one
-		// drive step.
-		bound := DefaultZoneMaxGradient + 1.0/float64(transform.Levels-1) + 1e-9
-		for k := range betas {
-			if k%g.Cols+1 < g.Cols {
-				invariant.Assert(betas[k]-betas[k+1] <= bound && betas[k+1]-betas[k] <= bound,
-					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+1], DefaultZoneMaxGradient)
-			}
-			if k/g.Cols+1 < g.Rows {
-				invariant.Assert(betas[k]-betas[k+g.Cols] <= bound && betas[k+g.Cols]-betas[k] <= bound,
-					"core: zone gradient |%v-%v| exceeds %v", betas[k], betas[k+g.Cols], DefaultZoneMaxGradient)
-			}
 		}
 	}
 

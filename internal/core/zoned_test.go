@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"hebs/internal/backlight"
@@ -41,7 +42,7 @@ func TestBackendEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: Process: %v", fx, v.name, workers, err)
 				}
-				zoned, err := eng.ProcessZoned(context.Background(), img, v.opts, backend)
+				zoned, err := eng.ProcessZoned(context.Background(), img, v.opts, backend, nil)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: ProcessZoned: %v", fx, v.name, workers, err)
 				}
@@ -116,7 +117,7 @@ func TestZonedLEDBeatsGlobalCCFLOnNonUniformContent(t *testing.T) {
 	opts := Options{MaxDistortionPercent: 2, ExactSearch: true}
 	eng := NewEngine(EngineOptions{})
 
-	ccfl, err := eng.ProcessZoned(context.Background(), img, opts, backlight.DefaultCCFL())
+	ccfl, err := eng.ProcessZoned(context.Background(), img, opts, backlight.DefaultCCFL(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestZonedLEDBeatsGlobalCCFLOnNonUniformContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zoned, err := eng.ProcessZoned(context.Background(), img, opts, led)
+	zoned, err := eng.ProcessZoned(context.Background(), img, opts, led, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestZonedWorkersIdentical(t *testing.T) {
 	var ref *ZonedResult
 	for _, workers := range []int{1, 4} {
 		eng := NewEngine(EngineOptions{Workers: workers})
-		res, err := eng.ProcessZoned(context.Background(), img, opts, led)
+		res, err := eng.ProcessZoned(context.Background(), img, opts, led, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +199,16 @@ func TestZonedWorkersIdentical(t *testing.T) {
 	ref.Release()
 }
 
-// TestZonedBetaFloorRaisesZones: floors (the video governor's slew
-// input) bind from below and never lower a zone.
+// fixedFloors is a ZoneFloors hook that ignores the targets and
+// returns fs.
+func fixedFloors(fs []float64) ZoneFloors {
+	return func([]float64) []float64 { return fs }
+}
+
+// TestZonedBetaFloorRaisesZones: the floors hook (the video governor's
+// slew input) runs once per call on the zone targets, its floors bind
+// from below and never lower a zone, and a floor vector of the wrong
+// length or outside [0,1] is rejected.
 func TestZonedBetaFloorRaisesZones(t *testing.T) {
 	img := spotlight(64, 64)
 	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 2, Cols: 2})
@@ -208,17 +217,29 @@ func TestZonedBetaFloorRaisesZones(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
-	free, err := eng.ProcessZoned(context.Background(), img, opts, led)
+	free, err := eng.ProcessZoned(context.Background(), img, opts, led, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer free.Release()
-	opts.ZoneBetaFloor = []float64{0.9, 0.9, 0.9, 0.9}
-	floored, err := eng.ProcessZoned(context.Background(), img, opts, led)
+	calls := 0
+	floored, err := eng.ProcessZoned(context.Background(), img, opts, led, func(targets []float64) []float64 {
+		calls++
+		for k, tb := range targets {
+			//hebslint:allow floateq the hook sees the targets the result reports
+			if tb != free.Zones[k].TargetBeta {
+				t.Errorf("hook target %d = %v, want the zone target %v", k, tb, free.Zones[k].TargetBeta)
+			}
+		}
+		return []float64{0.9, 0.9, 0.9, 0.9}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer floored.Release()
+	if calls != 1 {
+		t.Errorf("floors hook ran %d times, want 1", calls)
+	}
 	for k := range floored.Zones {
 		if floored.Zones[k].Beta < 0.9 {
 			t.Errorf("zone %d β %v below its floor", k, floored.Zones[k].Beta)
@@ -227,10 +248,14 @@ func TestZonedBetaFloorRaisesZones(t *testing.T) {
 			t.Errorf("zone %d: floored run dimmer than free run", k)
 		}
 	}
-	opts.ZoneBetaFloor = []float64{0.5}
 	var fle *ZoneFloorLengthError
-	if _, err := eng.ProcessZoned(context.Background(), img, opts, led); !errors.As(err, &fle) {
+	if _, err := eng.ProcessZoned(context.Background(), img, opts, led, fixedFloors([]float64{0.5})); !errors.As(err, &fle) {
 		t.Fatalf("floor length mismatch returned %v, want *ZoneFloorLengthError", err)
+	}
+	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := eng.ProcessZoned(context.Background(), img, opts, led, fixedFloors([]float64{0.5, bad, 0.5, 0.5})); err == nil {
+			t.Errorf("floor %v accepted, want an error", bad)
+		}
 	}
 }
 
@@ -247,7 +272,7 @@ func TestZonedGridValidation(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	var ge *ZoneGridError
-	_, err = eng.ProcessZoned(context.Background(), img, Options{DynamicRange: 200}, led)
+	_, err = eng.ProcessZoned(context.Background(), img, Options{DynamicRange: 200}, led, nil)
 	if !errors.As(err, &ge) {
 		t.Fatalf("oversized grid returned %v, want *ZoneGridError", err)
 	}
@@ -264,7 +289,7 @@ func TestZonedSmoothingBoundsGradient(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
-	res, err := eng.ProcessZoned(context.Background(), img, opts, led)
+	res, err := eng.ProcessZoned(context.Background(), img, opts, led, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,14 +361,15 @@ func TestZonedMatchesPerZoneProcess(t *testing.T) {
 		for _, b := range backends {
 			for _, floored := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/floors=%v", fx, b.Name(), floored)
-				o := opts
+				var floors ZoneFloors
 				if floored {
-					o.ZoneBetaFloor = make([]float64, b.Grid().Zones())
-					for k := range o.ZoneBetaFloor {
-						o.ZoneBetaFloor[k] = 0.35 + 0.05*float64(k%8)
+					fs := make([]float64, b.Grid().Zones())
+					for k := range fs {
+						fs[k] = 0.35 + 0.05*float64(k%8)
 					}
+					floors = fixedFloors(fs)
 				}
-				zr, err := eng.ProcessZoned(ctx, img, o, b)
+				zr, err := eng.ProcessZoned(ctx, img, opts, b, floors)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

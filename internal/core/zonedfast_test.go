@@ -80,7 +80,7 @@ func zonedWalk(t *testing.T, eng *Engine, frames []*gray.Image, opts Options, b 
 	var prev []float64
 	snaps := make([]zonedSnapshot, 0, len(frames))
 	for i, f := range frames {
-		o := opts
+		var hook ZoneFloors
 		if prev != nil {
 			floors := make([]float64, zones)
 			for k := range floors {
@@ -90,9 +90,9 @@ func zonedWalk(t *testing.T, eng *Engine, frames []*gray.Image, opts Options, b 
 				}
 				floors[k] = v
 			}
-			o.ZoneBetaFloor = floors
+			hook = fixedFloors(floors)
 		}
-		zr, err := eng.ProcessZoned(context.Background(), f, o, b)
+		zr, err := eng.ProcessZoned(context.Background(), f, opts, b, hook)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -197,7 +197,7 @@ func TestZonedFastPathKeyInvalidation(t *testing.T) {
 	call := func(budget float64) (zones, frames int64) {
 		t.Helper()
 		z0, f0 := replayCounts()
-		zr, err := eng.ProcessZoned(context.Background(), img, Options{MaxDistortionPercent: budget, ExactSearch: true}, led)
+		zr, err := eng.ProcessZoned(context.Background(), img, Options{MaxDistortionPercent: budget, ExactSearch: true}, led, nil)
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}

@@ -65,7 +65,7 @@ func BackendFrontier(cfg Config, backends []backlight.Backend, budgets []float64
 					ExactSearch:          true,
 					Metric:               cfg.Metric,
 					Subsystem:            cfg.Subsystem,
-				}, b)
+				}, b, nil)
 				if err != nil {
 					return err
 				}

@@ -28,8 +28,8 @@ type FrameRecord struct {
 	HistHash uint64 `json:"hist_hash,omitempty"`
 	// PlanCached reports whether the frame's Plan came from the plan
 	// cache rather than a fresh equalize/plc solve. Fused classic
-	// frames and zoned replays, which reuse an earlier frame's plans,
-	// set it too.
+	// frames, which reuse an earlier frame's plan, set it too; a zoned
+	// frame sets it when every zone reused its plan.
 	PlanCached bool `json:"plan_cached,omitempty"`
 	// Governor decisions, mirroring the per-frame counters.
 	RangeReused bool `json:"range_reused,omitempty"`
@@ -38,7 +38,7 @@ type FrameRecord struct {
 	// FusedApply reports a fused delta frame: its pixels were certified
 	// identical to a measured frame at the same applied range, so it
 	// copied that frame's measurements and made no engine call (its
-	// PlanCached is set, as on a zoned replay).
+	// PlanCached is set).
 	FusedApply bool `json:"fused_apply,omitempty"`
 	// TileChangeRatio is changed/total tiles of the delta analysis for
 	// this frame (0 when delta analysis is off or nothing changed).

@@ -78,7 +78,9 @@ func TestProcessFeedsFlightRecorder(t *testing.T) {
 
 	// The zoned walk records every frame as well, replays included: a
 	// bright lead-in and then a held dark scene dims under the slew
-	// limit, settles, and replays the held frames from then on.
+	// limit, settles, and core replays the held frames from then on.
+	// The engine caches no plans, so a record's PlanCached (every zone
+	// reused its plan) marks exactly core's frame replays.
 	bright, dark := brightFrame(t), darkFrame(t)
 	frames := []*gray.Image{bright, bright}
 	for i := 0; i < 22; i++ {
@@ -89,20 +91,20 @@ func TestProcessFeedsFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	zpol := Policy{
-		MaxStep:       0.05,
-		Backend:       ledBackend(t, 4, 4),
-		DeltaAnalysis: true,
-		Options:       core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+		MaxStep: 0.05,
+		Backend: ledBackend(t, 4, 4),
+		Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
 	}
 	reg := obs.Default()
 	lat := reg.Histogram("video.frame.seconds", nil)
-	replayed := reg.Counter("video.zoned.frames_replayed_total")
+	replayed := reg.Counter("core.zoned.frame_replays_total")
 	slewed := reg.Counter("video.slew_limited_total")
 	for _, workers := range []int{1, 4} {
 		rec := obs.NewFlightRecorder(len(frames) + 8)
 		prev := obs.SetFlightRecorder(rec)
 		latBefore, replayBefore, slewBefore := lat.Count(), replayed.Value(), slewed.Value()
 		zpol.Workers = workers
+		zpol.Engine = core.NewEngine(core.EngineOptions{Workers: workers, PlanCacheSize: -1})
 		res, err := Process(held, zpol)
 		obs.SetFlightRecorder(prev)
 		if err != nil {

@@ -3,8 +3,10 @@ package video
 import (
 	"testing"
 
+	"hebs/internal/backlight"
 	"hebs/internal/core"
 	"hebs/internal/gray"
+	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
 
@@ -65,6 +67,111 @@ func FuzzDetectCuts(f *testing.F) {
 			}
 			if !(fr.TargetBeta > 0 && fr.TargetBeta <= 1) {
 				t.Fatalf("frame %d: target β = %v outside (0,1]", i, fr.TargetBeta)
+			}
+		}
+	})
+}
+
+// fuzzZonedScenes are the two 128×64 scenes FuzzZonedWalk crops its
+// 48×48 frames from; a cut switches between them.
+var fuzzZonedScenes = func() [2]*gray.Image {
+	var s [2]*gray.Image
+	for i, name := range []string{"autumn", "splash"} {
+		img, err := sipi.Generate(name, 128, 64)
+		if err != nil {
+			panic(err)
+		}
+		s[i] = img
+	}
+	return s
+}()
+
+// fuzzZonedClip builds a clip from script: frame 0 crops the first
+// scene at x = 0, and each script byte adds one frame — b%3 == 0 pans
+// right by 1+(b/3)%8 pixels, 1 holds the previous frame, 2 cuts to the
+// other scene. At most 10 frames.
+func fuzzZonedClip(t *testing.T, script []byte) *Sequence {
+	if len(script) > 9 {
+		script = script[:9]
+	}
+	const side = 48
+	scene, x := 0, 0
+	crop := func() *gray.Image {
+		src := fuzzZonedScenes[scene]
+		f := gray.New(side, side)
+		for y := 0; y < side; y++ {
+			copy(f.Pix[y*side:(y+1)*side], src.Pix[y*src.W+x:y*src.W+x+side])
+		}
+		return f
+	}
+	frames := []*gray.Image{crop()}
+	for _, b := range script {
+		switch b % 3 {
+		case 0:
+			x = (x + 1 + int(b/3)%8) % (128 - side + 1)
+			frames = append(frames, crop())
+		case 1:
+			frames = append(frames, frames[len(frames)-1])
+		case 2:
+			scene = 1 - scene
+			frames = append(frames, crop())
+		}
+	}
+	seq, err := NewSequence(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// FuzzZonedWalk is the differential oracle of the zoned clip walk:
+// over pans, held frames and cuts on LED grids from 1×1 to 4×4, PWM
+// depths {8, 4, 10} bits, hardware slew, MaxStep, CutThreshold and
+// DeltaAnalysis, every FrameResult of a run with all memos on equals
+// the run with all of them off — DeltaAnalysis off, a cache-off engine
+// and the non-comparable memoOff backend, so no state outlives an
+// engine call.
+func FuzzZonedWalk(f *testing.F) {
+	// testdata/fuzz/FuzzZonedWalk/stale_replay holds a pan with held
+	// frames on a 2×2 10-bit grid at MaxStep 0.002, budget 20 and
+	// DeltaAnalysis on: the held frames' floors still move the field.
+	f.Add([]byte{2, 1, 2, 1, 0, 2}, uint8(15), uint8(0), true, uint8(20), uint8(50), uint8(5), true)
+	f.Add([]byte{1, 1, 3}, uint8(0), uint8(1), false, uint8(0), uint8(0), uint8(0), false)
+	f.Fuzz(func(t *testing.T, script []byte, grid, pwm uint8, slew bool, step, cut, budget uint8, delta bool) {
+		seq := fuzzZonedClip(t, script)
+		opts := backlight.LEDOptions{
+			Rows:    1 + int(grid)%4,
+			Cols:    1 + int(grid/4)%4,
+			PWMBits: []int{0, 4, 10}[pwm%3],
+		}
+		if slew {
+			opts.SlewPerFrame = 0.01
+		}
+		led, err := backlight.NewLED(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := Policy{
+			MaxStep:       float64(step) / 500,
+			CutThreshold:  float64(cut) / 500,
+			DeltaAnalysis: delta,
+			Backend:       led,
+			Options:       core.Options{MaxDistortionPercent: float64(5 + budget%20), ExactSearch: true},
+		}
+		memo, err := Process(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.DeltaAnalysis = false
+		pol.Backend = memoOff{Backend: led}
+		pol.Engine = core.NewEngine(core.EngineOptions{Workers: 1, PlanCacheSize: -1})
+		ref, err := Process(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.Frames {
+			if memo.Frames[i] != ref.Frames[i] {
+				t.Fatalf("frame %d:\n memo %+v\n  ref %+v", i, memo.Frames[i], ref.Frames[i])
 			}
 		}
 	})

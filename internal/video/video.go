@@ -129,6 +129,8 @@ type Policy struct {
 	// numbers. DeltaAnalysis only decides which frames skip work; a
 	// frame that does run is computed exactly as with it off, so outputs
 	// are byte-identical; see DESIGN.md "Incremental delta analysis".
+	// It applies to the classic walk only: the zoned walk always skips
+	// unchanged zones and replays identical frames inside the engine.
 	DeltaAnalysis bool
 	// TileSize is the delta-analysis tile edge in pixels (0 selects
 	// histogram.DefaultTileSize). Ignored unless DeltaAnalysis is set.
@@ -139,9 +141,8 @@ type Policy struct {
 	// outputs byte-identical to the nil default); a zoned backend (LED
 	// array) or a non-subsystem power model (OLED) routes the clip
 	// through the per-zone walk, where MaxStep/CutThreshold govern each
-	// zone's β track and DeltaAnalysis replays certified-identical
-	// frames. ReuseThreshold (the histogram-estimator reuse) applies
-	// only to the classic walk.
+	// zone's β track. ReuseThreshold (the histogram-estimator reuse) and
+	// DeltaAnalysis apply only to the classic walk.
 	Backend backlight.Backend
 	// HEBS options applied per frame. DynamicRange/budget semantics as
 	// in core.Options.

@@ -6,12 +6,12 @@
 // intersected with the backend's hardware MaxSlew) — expressed as
 // per-zone floors handed to core's zoned engine path, which applies
 // them before spatial smoothing so the halo relaxation still bounds
-// the final field. A mean target drop beyond CutThreshold is a scene
-// cut: the frame re-runs without floors and the field snaps.
+// the final field. The governor runs inside the one engine call per
+// frame, on the frame's own zone targets: a mean |target − prev|
+// beyond CutThreshold is a scene cut, and the field snaps (no floors).
 package video
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -23,10 +23,7 @@ import (
 	"hebs/internal/transform"
 )
 
-var (
-	mZonedFrames = obs.NewCounter("video.zoned.frames_total")
-	mZonedReplay = obs.NewCounter("video.zoned.frames_replayed_total")
-)
+var mZonedFrames = obs.NewCounter("video.zoned.frames_total")
 
 // effectiveSlew intersects the policy's slew limit with the hardware's
 // (0 means unlimited on either side).
@@ -72,9 +69,33 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 	res := &Result{}
 	prev := make([]float64, 0, zones) // applied β field of the previous frame
 	floors := make([]float64, zones)
-	var prevFR FrameResult
-	prevStable := false // previous frame ran floor-free at its own targets
-	var prevPix []byte  // previous frame's pixels (DeltaAnalysis only)
+	// govern is the temporal governor, run by the engine between the
+	// per-zone analysis and the β field. A mean |target − prev| beyond
+	// CutThreshold is a scene cut: holding the old field would serve a
+	// scene that no longer exists, so the field snaps (no floors).
+	// Otherwise each zone dims by at most step below its previous β.
+	var floored, cutSnap bool
+	govern := func(targets []float64) []float64 {
+		floored, cutSnap = false, false
+		if len(prev) != zones || step <= 0 {
+			return nil
+		}
+		if pol.CutThreshold > 0 {
+			meanDelta := 0.0
+			for k, t := range targets {
+				meanDelta += math.Abs(t - prev[k])
+			}
+			if meanDelta/float64(zones) > pol.CutThreshold {
+				cutSnap = true
+				return nil
+			}
+		}
+		for k, p := range prev {
+			floors[k] = max(p-step, 0)
+		}
+		floored = true
+		return floors
+	}
 
 	var clipErr error
 	for i, frame := range seq.Frames {
@@ -89,39 +110,9 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		mZonedFrames.Inc()
 		gInflight.Add(1)
 
-		// Certified-identical replay: same pixels as the previous frame
-		// while its track was stable (no floor bound, no snap) replay
-		// the same deterministic decision without re-running the engine.
-		// A replay reuses the previous frame's plans, so it reports
-		// PlanCached as a fused classic frame does.
-		if pol.DeltaAnalysis && prevStable && prevPix != nil && bytes.Equal(prevPix, frame.Pix) {
-			fr := prevFR
-			res.Frames = append(res.Frames, fr)
-			mZonedReplay.Inc()
-			fsp.SetBool("zoned_replay", true)
-			finishZonedFrame(fsp, fr, obs.FrameRecord{
-				Frame:      pol.frameOffset + i,
-				PlanCached: true,
-				Workers:    workers,
-			}, start)
-			continue
-		}
-
 		opts := pol.Options
 		opts.Trace = fsp
-		floored := false
-		if len(prev) == zones && step > 0 {
-			for k, p := range prev {
-				f := p - step
-				if f < 0 {
-					f = 0
-				}
-				floors[k] = f
-			}
-			opts.ZoneBetaFloor = floors
-			floored = true
-		}
-		zr, err := eng.ProcessZoned(ctx, frame, opts, b)
+		zr, err := eng.ProcessZoned(ctx, frame, opts, b, govern)
 		if err != nil {
 			gInflight.Add(-1)
 			fsp.End()
@@ -131,40 +122,14 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 			}
 			return nil, fmt.Errorf("video: frame %d: %w", i, err)
 		}
-
-		// Scene-cut detection on the zone targets: a mean drop beyond
-		// the threshold means holding the old field serves a scene that
-		// no longer exists — snap by re-running floor-free.
-		cutSnap := false
-		if floored && pol.CutThreshold > 0 {
-			meanDelta := 0.0
-			for k := range zr.Zones {
-				meanDelta += math.Abs(zr.Zones[k].TargetBeta - prev[k])
-			}
-			meanDelta /= float64(zones)
-			if meanDelta > pol.CutThreshold {
-				zr.Release()
-				opts.ZoneBetaFloor = nil
-				zr, err = eng.ProcessZoned(ctx, frame, opts, b)
-				if err != nil {
-					gInflight.Add(-1)
-					fsp.End()
-					if cerr := ctx.Err(); cerr != nil {
-						clipErr = cerr
-						break
-					}
-					return nil, fmt.Errorf("video: frame %d (cut): %w", i, err)
-				}
-				cutSnap = true
-				floored = false
-				fsp.SetBool("cut_snap", true)
-				mCutSnaps.Inc()
-			}
+		if cutSnap {
+			fsp.SetBool("cut_snap", true)
+			mCutSnaps.Inc()
 		}
 
 		meanTarget := 0.0
 		maxRange := 0
-		stable := true
+		planCached := true
 		prev = prev[:0]
 		for k := range zr.Zones {
 			z := &zr.Zones[k]
@@ -172,13 +137,8 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 			if z.Range > maxRange {
 				maxRange = z.Range
 			}
+			planCached = planCached && z.PlanCached
 			prev = append(prev, z.Beta)
-			// The track is stable once the applied field sits at the
-			// zone targets up to drive quantization — then floors can
-			// no longer bind and identical frames may replay.
-			if z.Beta-z.TargetBeta > quant+1e-12 {
-				stable = false
-			}
 			if invariant.Enabled {
 				invariant.AssertBeta("video: zone β", z.Beta)
 				if floored {
@@ -207,51 +167,36 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 			mSlewLimited.Inc()
 		}
 		res.Frames = append(res.Frames, fr)
-		prevFR = fr
-		prevStable = stable && !cutSnap
-		if pol.DeltaAnalysis {
-			if prevPix == nil {
-				prevPix = make([]byte, len(frame.Pix))
-			}
-			copy(prevPix, frame.Pix)
+
+		fsp.SetFloat("target_beta", fr.TargetBeta)
+		fsp.SetFloat("applied_beta", fr.Beta)
+		fsp.SetInt("range", fr.Range)
+		fsp.SetFloat("saving_pct", fr.SavingPercent)
+		fsp.SetFloat("zone_beta_spread", fr.ZoneBetaSpread)
+		elapsed := time.Since(start)
+		if fl := obs.Flight(); fl != nil {
+			fl.Record(obs.FrameRecord{
+				Frame:          pol.frameOffset + i,
+				TargetBeta:     fr.TargetBeta,
+				Beta:           fr.Beta,
+				Range:          fr.Range,
+				PlanCached:     planCached,
+				CutSnap:        cutSnap,
+				SlewLimited:    slew,
+				SmoothIters:    smooth,
+				Zones:          zones,
+				ZoneBetaSpread: fr.ZoneBetaSpread,
+				Workers:        workers,
+				Seconds:        elapsed.Seconds(),
+			})
 		}
-		finishZonedFrame(fsp, fr, obs.FrameRecord{
-			Frame:       pol.frameOffset + i,
-			CutSnap:     cutSnap,
-			SlewLimited: slew,
-			SmoothIters: smooth,
-			Workers:     workers,
-		}, start)
+		mFrameLatency.ObserveDuration(elapsed)
+		gInflight.Add(-1)
+		fsp.End()
 	}
 	res.aggregate()
 	if clipErr != nil {
 		return res, clipErr
 	}
 	return res, nil
-}
-
-// finishZonedFrame closes one zoned frame, fresh or replayed: it
-// annotates the span with the operating point, feeds the flight
-// recorder and observes video.frame.seconds. rec carries the frame
-// index, path flags and worker count; the operating point comes from
-// fr.
-func finishZonedFrame(fsp *obs.Span, fr FrameResult, rec obs.FrameRecord, start time.Time) {
-	fsp.SetFloat("target_beta", fr.TargetBeta)
-	fsp.SetFloat("applied_beta", fr.Beta)
-	fsp.SetInt("range", fr.Range)
-	fsp.SetFloat("saving_pct", fr.SavingPercent)
-	fsp.SetFloat("zone_beta_spread", fr.ZoneBetaSpread)
-	elapsed := time.Since(start)
-	if fl := obs.Flight(); fl != nil {
-		rec.TargetBeta = fr.TargetBeta
-		rec.Beta = fr.Beta
-		rec.Range = fr.Range
-		rec.Zones = fr.Zones
-		rec.ZoneBetaSpread = fr.ZoneBetaSpread
-		rec.Seconds = elapsed.Seconds()
-		fl.Record(rec)
-	}
-	mFrameLatency.ObserveDuration(elapsed)
-	gInflight.Add(-1)
-	fsp.End()
 }

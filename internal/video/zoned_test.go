@@ -7,6 +7,7 @@ import (
 	"hebs/internal/backlight"
 	"hebs/internal/core"
 	"hebs/internal/gray"
+	"hebs/internal/obs"
 )
 
 func ledBackend(t *testing.T, rows, cols int) *backlight.LED {
@@ -89,36 +90,112 @@ func TestZonedWalkDeterministic(t *testing.T) {
 	}
 }
 
-// TestZonedDeltaReplay: on a static clip the delta walk replays
-// certified-identical frames without re-running the engine, and its
-// outputs match a delta-off run frame for frame.
+// TestZonedDeltaReplay: zoned output does not depend on DeltaAnalysis,
+// and identical frames replay through core's zone and frame memo at
+// either setting. The static clip replays at least its three held
+// frames whole (its first frame too when the zone memo still holds it).
+// The pan-plus-held clip on a 10-bit PWM grid, with a slew step finer
+// than 1/255, holds frames whose floors still move the field — a
+// whole-frame replay keyed on the pixels alone would repeat the
+// previous frame's β there.
 func TestZonedDeltaReplay(t *testing.T) {
 	f := darkFrame(t)
-	seq, err := NewSequence([]*gray.Image{f, f, f, f})
+	static, err := NewSequence([]*gray.Image{f, f, f, f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{MaxDistortionPercent: 10, ExactSearch: true}
-	pol := Policy{Options: opts, Backend: ledBackend(t, 2, 2)}
-
-	plain, err := Process(seq, pol)
+	pan, err := Pan(base(t), 48, 48, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol.DeltaAnalysis = true
-	before := mZonedReplay.Value()
-	delta, err := Process(seq, pol)
+	held := append([]*gray.Image{}, pan.Frames...)
+	for i := 0; i < 6; i++ {
+		held = append(held, pan.Frames[3])
+	}
+	panHeld, err := NewSequence(held)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range plain.Frames {
-		if plain.Frames[i] != delta.Frames[i] {
-			t.Errorf("frame %d: delta replay diverged: %+v != %+v",
-				i, plain.Frames[i], delta.Frames[i])
+	pwm10, err := backlight.NewLED(backlight.LEDOptions{Rows: 2, Cols: 2, PWMBits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name         string
+		seq          *Sequence
+		pol          Policy
+		frameReplays int64 // least per run; 0 = unchecked
+	}{
+		{"static", static, Policy{
+			Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+			Backend: ledBackend(t, 2, 2),
+		}, 3},
+		{"pan-held/pwm10", panHeld, Policy{
+			MaxStep: 0.002,
+			Options: core.Options{MaxDistortionPercent: 20, ExactSearch: true},
+			Backend: pwm10,
+		}, 0},
+	}
+	for _, c := range cases {
+		var runs [2]*Result
+		for i, delta := range []bool{false, true} {
+			pol := c.pol
+			pol.DeltaAnalysis = delta
+			_, before := zonedReplayCounts()
+			res, err := Process(c.seq, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, after := zonedReplayCounts()
+			if after-before < c.frameReplays {
+				t.Errorf("%s delta=%v: core replayed %d frames, want at least %d", c.name, delta, after-before, c.frameReplays)
+			}
+			runs[i] = res
+		}
+		for i := range runs[0].Frames {
+			if runs[0].Frames[i] != runs[1].Frames[i] {
+				t.Errorf("%s frame %d: delta on diverged from delta off:\n  on %+v\n off %+v",
+					c.name, i, runs[1].Frames[i], runs[0].Frames[i])
+			}
 		}
 	}
-	if got := mZonedReplay.Value() - before; got != 3 {
-		t.Errorf("replayed %d frames, want 3", got)
+}
+
+// TestZonedCutRunsOnce: a scene-cut frame costs one zoned engine run,
+// like every other frame — the governor decides the cut on the
+// frame's own zone targets inside the run instead of re-running it
+// floor-free.
+func TestZonedCutRunsOnce(t *testing.T) {
+	bright, dark := brightFrame(t), darkFrame(t)
+	var frames []*gray.Image
+	for i := 0; i < 16; i++ {
+		if i%4 < 2 {
+			frames = append(frames, bright)
+		} else {
+			frames = append(frames, dark)
+		}
+	}
+	seq, err := NewSequence(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := obs.NewCounter("core.zoned.runs_total")
+	for _, workers := range []int{1, 4} {
+		r0, c0 := runs.Value(), mCutSnaps.Value()
+		_, err := Process(seq, Policy{
+			MaxStep: 0.04, CutThreshold: 0.1, Workers: workers,
+			Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+			Backend: ledBackend(t, 4, 4),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runs.Value() - r0; got != int64(len(frames)) {
+			t.Errorf("workers=%d: %d zoned runs for %d frames, want one each", workers, got, len(frames))
+		}
+		if mCutSnaps.Value() == c0 {
+			t.Errorf("workers=%d: no cut snapped on a clip alternating bright and dark scenes", workers)
+		}
 	}
 }
 
