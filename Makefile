@@ -47,7 +47,6 @@ FUZZ_TARGETS := \
 	FuzzCoarsen:./internal/plc \
 	FuzzDetectCuts:./internal/video \
 	FuzzZonedWalk:./internal/video \
-	FuzzOfIntoShards:./internal/histogram \
 	FuzzDeltaHistogram:./internal/histogram \
 	FuzzDecodePNM:./internal/imageio \
 	FuzzEncodeDecodePGM:./internal/imageio

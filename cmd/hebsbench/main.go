@@ -96,7 +96,6 @@ func run(args []string, out io.Writer) (err error) {
 	only := fs.String("only", "", "comma-separated subset: fig6a,fig6b,fig7,fig8,table1,compare,ablations,backends,perf (perf is opt-in)")
 	workers := fs.Int("workers", 0, "worker goroutines for the suite fan-outs and perf runs (0 = all CPUs, 1 = serial)")
 	delta := fs.Bool("delta", false, "enable incremental delta analysis on the video/steady16 perf benchmark (video/static16 and video/talking16 always run with it)")
-	tileSize := fs.Int("tile-size", 0, "delta-analysis tile edge for the perf benchmarks (0 = default 64)")
 	jsonOut := fs.String("json", "", "write the emitted tables plus a metrics snapshot as JSON to this file")
 	diag := obs.AddCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -282,7 +281,7 @@ func run(args []string, out io.Writer) (err error) {
 	// The perf section is opt-in (`-only perf`): testing.Benchmark runs
 	// take seconds each and have no place in the default artifact run.
 	if selected["perf"] {
-		recs, err := runPerf(ctx, *workers, *delta, *tileSize)
+		recs, err := runPerf(ctx, *workers, *delta)
 		if err != nil {
 			return err
 		}
@@ -459,7 +458,7 @@ func perfWorkerSet(workers int) []int {
 // self-calibrate. The records are the stable schema consumed by
 // cmd/hebsbenchcmp and checked into BENCH_pipeline.json; mb_per_clip
 // is the heap allocated per operation (one clip / one image) in MB.
-func runPerf(ctx context.Context, workers int, delta bool, tileSize int) ([]perfRecord, error) {
+func runPerf(ctx context.Context, workers int, delta bool) ([]perfRecord, error) {
 	frame, err := sipi.Generate("lena", 128, 128)
 	if err != nil {
 		return nil, err
@@ -526,7 +525,6 @@ func runPerf(ctx context.Context, workers int, delta bool, tileSize int) ([]perf
 			MaxStep:        0.04,
 			ReuseThreshold: 4,
 			DeltaAnalysis:  delta,
-			TileSize:       tileSize,
 			Workers:        w,
 			Engine:         eng,
 			Options:        core.Options{MaxDistortionPercent: 10, ExactSearch: true},

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hebsvideo [-clip pan|fade|cut|mixed] [-frames N] [-budget PCT]
-//	          [-maxstep F] [-cutdetect] [-size N] [-delta] [-tile-size N]
+//	          [-maxstep F] [-cutdetect] [-size N] [-delta]
 package main
 
 import (
@@ -47,7 +47,6 @@ func run(args []string, out io.Writer) (err error) {
 	cutDetect := fs.Bool("cutdetect", true, "use histogram scene-cut detection for snapping")
 	reuse := fs.Float64("reuse", 0, "static-scene reuse threshold in EMD levels (0 disables)")
 	delta := fs.Bool("delta", false, "incremental tiled histogram analysis with the fused static-frame fast path (classic walk; zoned backends always replay unchanged zones)")
-	tileSize := fs.Int("tile-size", 0, "delta-analysis tile edge in pixels (0 = default 64)")
 	size := fs.Int("size", 96, "frame edge length")
 	workers := fs.Int("workers", 1, "worker goroutines for the clip scheduler (0 = all CPUs, 1 = inline, no goroutines)")
 	backendSpec := fs.String("backend", "", "backlight backend: ccfl (classic pipeline), led:RxC or oled (per-zone walk)")
@@ -85,14 +84,10 @@ func run(args []string, out io.Writer) (err error) {
 	if pw == 0 {
 		pw = -1
 	}
-	if *tileSize < 0 {
-		return fmt.Errorf("negative -tile-size %d", *tileSize)
-	}
 	pol := video.Policy{
 		MaxStep:        *maxStep,
 		ReuseThreshold: *reuse,
 		DeltaAnalysis:  *delta,
-		TileSize:       *tileSize,
 		Workers:        pw,
 		Options:        core.Options{MaxDistortionPercent: *budget, ExactSearch: true},
 	}

@@ -41,10 +41,10 @@ func (g Grid) Zones() int { return g.Rows * g.Cols }
 func (g Grid) Zoned() bool { return g.Zones() > 1 }
 
 // ZoneRect returns zone k's pixel rectangle [x0,x1)×[y0,y1) on a w×h
-// panel, in row-major zone order. Boundaries follow the same integer
-// split as parallel.Shard (lo = i·n/parts), so the zones partition the
-// panel exactly: every pixel belongs to exactly one zone and a 1×1
-// grid's single zone is the whole panel.
+// panel, in row-major zone order. Boundaries follow the integer split
+// lo = i·n/parts, so the zones partition the panel exactly: every
+// pixel belongs to exactly one zone and a 1×1 grid's single zone is
+// the whole panel.
 func (g Grid) ZoneRect(k, w, h int) (x0, y0, x1, y1 int) {
 	zr, zc := k/g.Cols, k%g.Cols
 	x0 = zc * w / g.Cols

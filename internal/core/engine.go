@@ -85,14 +85,12 @@ type EngineOptions struct {
 	// magnitude is ignored.
 	PlanCacheSize int
 
-	// Workers bounds intra-frame parallelism: sharded histogram
-	// accumulation and sharded Λ application (the exact range search's
-	// probe remaps included; the bisection itself is one serial chain).
-	// 0 or 1 keeps every stage serial (the default), n > 1 allows up to
-	// n goroutines per stage, and a negative value selects GOMAXPROCS.
-	// Outputs are identical at every setting — the sharded kernels
-	// carry an exact-equality guarantee — and small frames stay serial
-	// regardless (the kernels gate on a per-shard work floor).
+	// Workers bounds ProcessZoned's fan-out across zones. 0 or 1 runs
+	// the zones serially (the default), n > 1 allows up to n goroutines,
+	// and a negative value selects GOMAXPROCS. Outputs are identical at
+	// every setting. Process and ProcessColor are serial: their pixel
+	// kernels (histogram, Λ remap) have one implementation each, and
+	// callers parallelize across frames or images instead.
 	Workers int
 }
 
@@ -107,7 +105,7 @@ type Engine struct {
 	planShared *planShards
 
 	// workers is the resolved EngineOptions.Workers: >= 1, where 1
-	// means every stage runs serially.
+	// means the zones of ProcessZoned run serially.
 	workers int
 
 	grayPool sync.Pool
@@ -145,8 +143,8 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// Workers reports the engine's resolved intra-frame worker bound (1
-// means serial).
+// Workers reports the engine's resolved zone fan-out bound (1 means
+// serial).
 func (e *Engine) Workers() int { return e.workers }
 
 // Hot-path sentinel errors. Inlined errors.New calls surface as heap
@@ -338,8 +336,7 @@ func (e *Engine) reconForRange(r int) (*transform.LUT, error) {
 
 // rangeReductionDistortion is chart.RangeReductionDistortion through
 // the engine's reconstruction cache and a caller-provided scratch
-// buffer: numerically identical, allocation-free once warm. The remap
-// shards over the engine's workers.
+// buffer: numerically identical, allocation-free once warm.
 func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image) (float64, error) {
 	recon, err := e.reconForRange(r)
 	if err != nil {
@@ -348,7 +345,7 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 	if metric == nil {
 		metric = chart.UQIMetric
 	}
-	if err := recon.ApplyIntoShards(img, scratch, e.workers); err != nil {
+	if err := recon.ApplyInto(img, scratch); err != nil {
 		return 0, err
 	}
 	return metric(img, scratch)
@@ -359,11 +356,10 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 // whose measured linear range-reduction distortion on this image does
 // not exceed the budget, and that distortion — the last passing
 // probe's, measured anew only when none passed (R = 255). The bisection
-// is one serial chain of probes, each probe's remap sharded over the
-// engine's workers. scratch (img's geometry) is the probe buffer; nil
-// draws one from the engine pool. The zoned walk passes each zone
-// slot's persistent buffer so per-zone searches stop cycling the pool
-// between zone and frame geometries.
+// is one serial chain of probes. scratch (img's geometry) is the probe
+// buffer; nil draws one from the engine pool. The zoned walk passes
+// each zone slot's persistent buffer so per-zone searches stop cycling
+// the pool between zone and frame geometries.
 func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
 	if scratch == nil {
 		scratch = e.getGray(img.W, img.H)
@@ -471,7 +467,7 @@ func (e *Engine) transformDistortion(img *gray.Image, plan *Plan, metric chart.M
 	}
 	displayed := e.getGray(img.W, img.H)
 	defer e.putGray(displayed)
-	if err := recon.ApplyIntoShards(img, displayed, e.workers); err != nil {
+	if err := recon.ApplyInto(img, displayed); err != nil {
 		return 0, err
 	}
 	return metric(img, displayed)
@@ -531,7 +527,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	_, histDone := stage(sp, stageHistogram)
 	h := e.getHist()
 	defer e.putHist(h)
-	histogram.OfIntoShards(img, h, e.workers)
+	histogram.OfInto(img, h)
 	histDone.end(nil)
 
 	// Steps 2+3: histogram -> Φ -> Λ (+ the PLRD program) — the Plan
@@ -548,7 +544,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	}
 	_, applyDone := stage(sp, stageApply)
 	transformed := e.getGray(img.W, img.H)
-	err = plan.Lambda.ApplyIntoShards(img, transformed, e.workers)
+	err = plan.Lambda.ApplyInto(img, transformed)
 	applyDone.end(err)
 	if err != nil {
 		e.putGray(transformed)
@@ -638,7 +634,7 @@ func (e *Engine) ProcessColor(ctx context.Context, img *rgb.Image, opts Options)
 	}
 	applySpan := sp.Child("stage.apply_color")
 	transformed := e.getRGB(img.W, img.H)
-	err = img.ApplyLUTIntoShards(res.Lambda, transformed, e.workers)
+	err = img.ApplyLUTInto(res.Lambda, transformed)
 	applySpan.End()
 	if err != nil {
 		e.putRGB(transformed)

@@ -12,6 +12,7 @@ import (
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
 	"hebs/internal/rgb"
+	"hebs/internal/sipi"
 )
 
 // TestEngineProcessMatchesLegacy: the pooled engine path must be
@@ -145,7 +146,7 @@ func TestEngineStagesComposeLikeProcess(t *testing.T) {
 		t.Fatal("planFor Λ differs from Process")
 	}
 	out := gray.New(img.W, img.H)
-	if err := plan.Lambda.ApplyIntoShards(img, out, eng.Workers()); err != nil {
+	if err := plan.Lambda.ApplyInto(img, out); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(want.Transformed) {
@@ -319,5 +320,41 @@ func TestMinRangeExactMeasuresEachRangeOnce(t *testing.T) {
 				t.Errorf("%s budget %v: (R=%d, D=%v), want the oracle's R=%d and D=%v", fx, budget, r, predicted, lo, fresh)
 			}
 		}
+	}
+}
+
+// TestEngineSelectRange: the public step-1 entry point agrees with a
+// full Process at the same options and rejects invalid inputs.
+func TestEngineSelectRange(t *testing.T) {
+	ctx := context.Background()
+	img, err := sipi.Generate("lena", 128, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{})
+	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
+	r, predicted, err := eng.SelectRange(ctx, img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Process(ctx, img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	if r != res.Range || predicted != res.PredictedDistortion { //hebslint:allow floateq
+		t.Fatalf("SelectRange (R=%d d=%v) disagrees with Process (R=%d d=%v)",
+			r, predicted, res.Range, res.PredictedDistortion)
+	}
+	if _, _, err := eng.SelectRange(ctx, nil, opts); err == nil {
+		t.Fatal("nil image accepted")
+	}
+	if _, _, err := eng.SelectRange(ctx, img, Options{DynamicRange: 100, ExactSearch: true}); err == nil {
+		t.Fatal("conflicting options accepted")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := eng.SelectRange(cancelled, img, opts); err == nil {
+		t.Fatal("cancelled context accepted")
 	}
 }

@@ -149,7 +149,7 @@ func (r *ZonedResult) Release() {
 // applyLUTRect remaps src's [x0,x1)×[y0,y1) rectangle through lut into
 // the same rectangle of the full-frame dst — the per-zone Apply hot
 // path. Each row runs the scalar table lookup of LUT.ApplyInto, so a
-// full-frame rectangle produces bytes identical to LUT.ApplyIntoShards.
+// full-frame rectangle produces bytes identical to LUT.ApplyInto.
 //
 //hebs:noalloc
 func applyLUTRect(lut *transform.LUT, src, dst *gray.Image, x0, y0, x1, y1 int) error {

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"hebs/internal/gray"
@@ -171,5 +172,49 @@ func TestEstimatorDistance(t *testing.T) {
 	}
 	if near >= far {
 		t.Errorf("distance should grow with shift: %v >= %v", near, far)
+	}
+}
+
+// fillImage writes a deterministic pseudo-random pixel pattern.
+func fillImage(img *gray.Image, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := range img.Pix {
+		img.Pix[i] = uint8(rng.Intn(256))
+	}
+}
+
+func TestEstimatorClone(t *testing.T) {
+	est, err := NewEstimator(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := gray.New(64, 64)
+	fillImage(img, 1)
+	h := Of(img)
+	if err := est.Observe(h); err != nil {
+		t.Fatal(err)
+	}
+	snap := est.Clone()
+	if !snap.Ready() {
+		t.Fatal("clone lost readiness")
+	}
+	d0, err := snap.Distance(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mutating the original must not move the snapshot.
+	img2 := gray.New(64, 64)
+	for i := range img2.Pix {
+		img2.Pix[i] = 255
+	}
+	if err := est.Observe(Of(img2)); err != nil {
+		t.Fatal(err)
+	}
+	d1, err := snap.Distance(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d0 != d1 { //hebslint:allow floateq
+		t.Fatalf("snapshot drifted after original mutated: %v -> %v", d0, d1)
 	}
 }

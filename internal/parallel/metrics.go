@@ -1,7 +1,6 @@
-// Pool observability: how often the fan-out primitives actually fan
-// out versus run inline, and how much work flows through them — the
-// numbers that tell whether a -workers setting is doing anything on
-// this machine.
+// Pool observability: how often ForEach actually fans out versus runs
+// inline, and how much work flows through it — the numbers that tell
+// whether a -workers setting is doing anything on this machine.
 package parallel
 
 import "hebs/internal/obs"
@@ -13,9 +12,4 @@ var (
 	mFanouts    = obs.NewCounter("parallel.fanouts_total")
 	mWorkers    = obs.NewCounter("parallel.workers_spawned_total")
 	mJobs       = obs.NewCounter("parallel.jobs_total")
-
-	// Sharded-kernel fan-outs (Shard calls that split the work; inline
-	// single-shard calls are not counted — they run per frame on the
-	// hot path and carry no scheduling decision worth a counter).
-	mShardFanouts = obs.NewCounter("parallel.shard_fanouts_total")
 )

@@ -1,9 +1,10 @@
 // Package parallel is the engine's shared concurrency substrate: a
 // bounded, context-aware worker pool with ordered result slots. Every
-// fan-out in the system — batch processing, the experiment suite, the
-// pipelined video scheduler, sharded pixel kernels and the speculative
-// range search — runs through the two primitives here instead of
-// re-growing its own goroutine pool.
+// fan-out in the system — the experiment suite, the pipelined video
+// scheduler across frames and the zoned walk across zones — runs
+// through ForEach instead of re-growing its own goroutine pool. Pixel
+// kernels stay serial: parallelism lives at one level, across frames,
+// zones or images, never inside one frame's histogram or remap.
 //
 // The determinism contract all callers rely on: work is identified by
 // index, results are written into caller-owned per-index slots, and any
@@ -131,54 +132,4 @@ func (f *fanout) fail(err error) {
 	}
 	f.mu.Unlock()
 	f.stopped.Store(true)
-}
-
-// Map is ForEach with the result slots owned by the pool: fn(i)'s
-// values are collected in input order. On error or cancellation the
-// partial slice is returned alongside the error so callers can release
-// any resources already produced (unfilled slots hold the zero value).
-func Map[T any](ctx context.Context, jobs, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, jobs)
-	err := ForEach(ctx, jobs, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
-}
-
-// Shard splits n units of work into at most `shards` contiguous,
-// near-equal chunks and runs fn(shard, lo, hi) for each concurrently,
-// where [lo, hi) is the shard's half-open unit range. The last shard
-// runs on the calling goroutine. Chunk boundaries are a pure function
-// of (n, shards) — lo = s·n/shards — so a sharded integer reduction
-// merged in shard order is reproducible run to run. fn must not fail;
-// kernels with error paths belong on ForEach. Returns the shard count
-// actually used (1 when n or shards is small, with fn run inline).
-func Shard(n, shards int, fn func(shard, lo, hi int)) int {
-	if n <= 0 {
-		return 0
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		fn(0, 0, n)
-		return 1
-	}
-	mShardFanouts.Inc()
-	var wg sync.WaitGroup
-	for s := 0; s < shards-1; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			fn(s, s*n/shards, (s+1)*n/shards)
-		}(s)
-	}
-	fn(shards-1, (shards-1)*n/shards, n)
-	wg.Wait()
-	return shards
 }

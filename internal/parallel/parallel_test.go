@@ -152,74 +152,3 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 		t.Fatalf("observed %d concurrent jobs, bound is %d", p, workers)
 	}
 }
-
-func TestMapCollectsInOrder(t *testing.T) {
-	out, err := Map(context.Background(), 20, 4, func(i int) (int, error) {
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("slot %d = %d", i, v)
-		}
-	}
-}
-
-func TestMapPartialOnError(t *testing.T) {
-	boom := errors.New("boom")
-	out, err := Map(context.Background(), 4, 1, func(i int) (int, error) {
-		if i == 2 {
-			return 0, boom
-		}
-		return i + 1, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
-	}
-	if len(out) != 4 || out[0] != 1 || out[1] != 2 || out[2] != 0 {
-		t.Fatalf("partial slots wrong: %v", out)
-	}
-}
-
-// TestShardCoversExactly: shard ranges tile [0, n) with no gaps or
-// overlaps, for every (n, shards) shape including degenerate ones.
-func TestShardCoversExactly(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 100, 1000} {
-		for _, shards := range []int{1, 2, 3, 8, 1000, 2000} {
-			seen := make([]int32, n)
-			used := Shard(n, shards, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-			})
-			if want := min(shards, n); used != max(want, 1) {
-				t.Fatalf("Shard(%d,%d) used %d shards", n, shards, used)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("Shard(%d,%d): unit %d covered %d times", n, shards, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestShardZeroUnits(t *testing.T) {
-	if used := Shard(0, 4, func(_, _, _ int) { t.Fatal("fn called") }); used != 0 {
-		t.Fatalf("used = %d, want 0", used)
-	}
-}
-
-// TestShardBalance: no shard is more than one unit off the ideal size.
-func TestShardBalance(t *testing.T) {
-	const n, shards = 1003, 7
-	sizes := make([]int64, shards)
-	Shard(n, shards, func(s, lo, hi int) { atomic.StoreInt64(&sizes[s], int64(hi-lo)) })
-	for s, sz := range sizes {
-		if sz < int64(n/shards) || sz > int64(n/shards)+1 {
-			t.Fatalf("shard %d has %d units, ideal %d", s, sz, n/shards)
-		}
-	}
-}

@@ -160,3 +160,14 @@ func TestFromGray(t *testing.T) {
 		t.Error("FromGray luma should round trip")
 	}
 }
+
+func TestApplyLUTIntoErrors(t *testing.T) {
+	lut := transform.Identity()
+	src := New(64, 64)
+	if err := src.ApplyLUTInto(lut, nil); err == nil {
+		t.Fatal("nil destination accepted")
+	}
+	if err := src.ApplyLUTInto(lut, New(64, 63)); err == nil {
+		t.Fatal("geometry mismatch accepted")
+	}
+}

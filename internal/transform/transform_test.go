@@ -461,3 +461,14 @@ func TestBreakpointsAlwaysValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestApplyIntoErrors(t *testing.T) {
+	lut := Identity()
+	src := gray.New(64, 64)
+	if err := lut.ApplyInto(src, nil); err == nil {
+		t.Fatal("nil destination accepted")
+	}
+	if err := lut.ApplyInto(src, gray.New(64, 63)); err == nil {
+		t.Fatal("geometry mismatch accepted")
+	}
+}

@@ -27,10 +27,9 @@ const steadyStateAllocBudgetChecked = 38
 
 // deltaSteadyAllocBudget is the same static clip with delta analysis
 // on (BENCH_pipeline.json video/static16: every frame fuses). The
-// inline tile scan of histogram.FrameDelta.UpdateShards is a method
-// call, not a per-frame closure, so the clip costs 7 allocs/op, not
-// 7 + 16 (measured); deltaSteadyAllocBudgetChecked is its hebscheck
-// count.
+// tile scan of histogram.FrameDelta.Update allocates nothing, so the
+// clip costs 7 allocs/op (measured); deltaSteadyAllocBudgetChecked is
+// its hebscheck count.
 const (
 	deltaSteadyAllocBudget        = 7
 	deltaSteadyAllocBudgetChecked = 22

@@ -103,7 +103,7 @@ func BenchmarkLegacyVideoSteadyState(b *testing.B) {
 // BenchmarkEngineVideoDeltaSteadyState is BenchmarkEngineVideoSteadyState
 // with incremental delta analysis: after the warm-up clip the pooled
 // deltaState's reference matches every frame (the clip is static), so
-// per-frame work collapses to the tile re-hash: every frame is fused
+// per-frame work collapses to the tile comparison: every frame is fused
 // and makes no engine call. The ns/op ratio against BenchmarkEngineVideoSteadyState is
 // the fused fast path's speedup on static content.
 func BenchmarkEngineVideoDeltaSteadyState(b *testing.B) {
@@ -125,7 +125,7 @@ func BenchmarkEngineVideoDeltaSteadyState(b *testing.B) {
 }
 
 // BenchmarkEngineVideoDeltaSteadyStateParallel adds the pipelined
-// scheduler on top of delta analysis: phase A0's sharded tile re-hash
+// scheduler on top of delta analysis: phase A0's tile comparison
 // plus the two-wave fused apply.
 func BenchmarkEngineVideoDeltaSteadyStateParallel(b *testing.B) {
 	seq := steadyClip(b)

@@ -1,7 +1,7 @@
 // Pooled incremental-analysis state for the schedulers. A deltaState
-// bundles the tile checksum/histogram reference (histogram.FrameDelta)
-// with the two memoizations the fused fast path replays when a frame's
-// pixels are unchanged:
+// bundles the reference frame and its tile histograms
+// (histogram.FrameDelta) with the two memoizations the fused fast path
+// replays when a frame's pixels are unchanged:
 //
 //   - ownRange: the frame's own admissible range — skipping the exact
 //     range search, the most expensive per-frame stage.
@@ -9,12 +9,12 @@
 //     saving) — a fused frame copies it and makes no engine call.
 //
 // Both replays are exact: range search and measurement are pure
-// functions of (pixels, options), the checksums certify the pixels,
-// and the options are fingerprinted by core.KeyFor. Tile state itself
-// is a pure function of pixels and carries across clips
-// unconditionally; the memoizations are dropped whenever the
-// fingerprint moves (or an uncomparable option like a custom Metric
-// func is in play).
+// functions of (pixels, options), the byte comparison with the
+// reference frame certifies the pixels, and the options are
+// fingerprinted by core.KeyFor. Tile state itself is a pure function
+// of pixels and carries across clips unconditionally; the memoizations
+// are dropped whenever the fingerprint moves (or an uncomparable
+// option like a custom Metric func is in play).
 package video
 
 import (
@@ -43,22 +43,22 @@ type deltaState struct {
 
 var deltaStatePool = sync.Pool{New: func() any { return new(deltaState) }}
 
-// acquireDelta draws pooled state shaped for w×h frames at tileSize
-// (0 = histogram.DefaultTileSize). Tile state survives pool round
+// acquireDelta draws pooled state shaped for w×h frames at
+// histogram.DefaultTileSize. Tile state survives pool round
 // trips whenever the geometry matches — a clip starting where the
 // previous one left off re-bins nothing. The range/measurement
 // memoizations additionally require an identical options fingerprint.
-func acquireDelta(w, h, tileSize int, opts core.Options) (*deltaState, error) {
+func acquireDelta(w, h int, opts core.Options) (*deltaState, error) {
 	ds := deltaStatePool.Get().(*deltaState)
 	if ds.delta == nil {
 		var err error
-		ds.delta, err = histogram.NewFrameDelta(w, h, tileSize)
+		ds.delta, err = histogram.NewFrameDelta(w, h, 0)
 		if err != nil {
 			deltaStatePool.Put(ds)
 			return nil, err
 		}
-	} else if !ds.delta.Matches(w, h, tileSize) {
-		if err := ds.delta.Configure(w, h, tileSize); err != nil {
+	} else if !ds.delta.Matches(w, h, 0) {
+		if err := ds.delta.Configure(w, h, 0); err != nil {
 			deltaStatePool.Put(ds)
 			return nil, err
 		}

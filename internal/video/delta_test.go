@@ -33,7 +33,7 @@ func checkSharedEngineAcrossClips(t *testing.T, delta bool) {
 	for _, workers := range []int{0, 1, 4} {
 		for step, name := range order {
 			wpol := pol
-			wpol.DeltaAnalysis, wpol.TileSize, wpol.Workers = delta, 16, workers
+			wpol.DeltaAnalysis, wpol.Workers = delta, workers
 			got, err := Process(fixtures[name], wpol)
 			if err != nil {
 				t.Fatalf("delta=%v workers=%d step %d (%s): %v", delta, workers, step, name, err)
@@ -112,22 +112,6 @@ func TestFusedFramesSkipEngine(t *testing.T) {
 				t.Errorf("%s workers=%d: fast-path counter moved by %d, want %d fused frames", name, workers, got, fused)
 			}
 		}
-	}
-}
-
-// TestDeltaPolicyValidation: negative tile sizes are rejected, and a
-// tile size below the minimum surfaces the histogram layer's error.
-func TestDeltaPolicyValidation(t *testing.T) {
-	seq := pipelineFixtures(t)["static"]
-	pol := steadyPolicy()
-	pol.DeltaAnalysis = true
-	pol.TileSize = -1
-	if _, err := Process(seq, pol); err == nil {
-		t.Error("negative TileSize accepted")
-	}
-	pol.TileSize = 4
-	if _, err := Process(seq, pol); err == nil {
-		t.Error("TileSize below minimum accepted")
 	}
 }
 

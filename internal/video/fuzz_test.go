@@ -87,13 +87,12 @@ var fuzzZonedScenes = func() [2]*gray.Image {
 }()
 
 // fuzzZonedClip builds a clip from script: frame 0 crops the first
-// scene at x = 0, and each script byte adds one frame — b%3 == 0 pans
-// right by 1+(b/3)%8 pixels, 1 holds the previous frame, 2 cuts to the
-// other scene. At most 10 frames.
-func fuzzZonedClip(t *testing.T, script []byte) *Sequence {
-	if len(script) > 9 {
-		script = script[:9]
-	}
+// scene at x = 0, and each of the low n%6 script bytes (least
+// significant first) adds one frame — b%3 == 0 pans right by
+// 1+(b/3)%8 pixels, 1 holds the previous frame, 2 cuts to the other
+// scene. At most 6 frames: each exec runs the clip twice with every
+// zone's plan solved uncached, so frames are its cost.
+func fuzzZonedClip(t *testing.T, script uint64, n uint8) *Sequence {
 	const side = 48
 	scene, x := 0, 0
 	crop := func() *gray.Image {
@@ -105,7 +104,8 @@ func fuzzZonedClip(t *testing.T, script []byte) *Sequence {
 		return f
 	}
 	frames := []*gray.Image{crop()}
-	for _, b := range script {
+	for k := 0; k < int(n%6); k++ {
+		b := uint8(script >> (8 * k))
 		switch b % 3 {
 		case 0:
 			x = (x + 1 + int(b/3)%8) % (128 - side + 1)
@@ -135,10 +135,13 @@ func FuzzZonedWalk(f *testing.F) {
 	// testdata/fuzz/FuzzZonedWalk/stale_replay holds a pan with held
 	// frames on a 2×2 10-bit grid at MaxStep 0.002, budget 20 and
 	// DeltaAnalysis on: the held frames' floors still move the field.
-	f.Add([]byte{2, 1, 2, 1, 0, 2}, uint8(15), uint8(0), true, uint8(20), uint8(50), uint8(5), true)
-	f.Add([]byte{1, 1, 3}, uint8(0), uint8(1), false, uint8(0), uint8(0), uint8(0), false)
-	f.Fuzz(func(t *testing.T, script []byte, grid, pwm uint8, slew bool, step, cut, budget uint8, delta bool) {
-		seq := fuzzZonedClip(t, script)
+	f.Add(uint64(0x0001020102), uint8(5), uint8(15), uint8(0), true, uint8(20), uint8(50), uint8(5), true)
+	f.Add(uint64(0x030101), uint8(3), uint8(0), uint8(1), false, uint8(0), uint8(0), uint8(0), false)
+	// The script is an integer, not a []byte: the fuzzer minimizes
+	// every new []byte input with up to hundreds of full execs, and at
+	// tens of milliseconds per exec that crowds out exploration.
+	f.Fuzz(func(t *testing.T, script uint64, n, grid, pwm uint8, slew bool, step, cut, budget uint8, delta bool) {
+		seq := fuzzZonedClip(t, script, n)
 		opts := backlight.LEDOptions{
 			Rows:    1 + int(grid)%4,
 			Cols:    1 + int(grid/4)%4,

@@ -86,7 +86,8 @@ type frameState struct {
 }
 
 // minHistFanoutPixels is the per-frame work floor for fanning out the
-// statistics phase (matches the sharded kernels' 32K-pixel gate).
+// statistics phase: below ~32K pixels a frame's histogram scan costs
+// less than handing it to another goroutine.
 const minHistFanoutPixels = 1 << 15
 
 // clipState is one clip's pooled scratch: the per-frame states plus
@@ -153,15 +154,14 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	st := cs.frames
 
 	// Phase A0 — incremental analysis (DeltaAnalysis only). The tile
-	// fold is a serial chain (each frame diffs against its predecessor)
-	// but UpdateShards fans out across tiles within a frame, and the
-	// fold replaces the per-frame full histogram scans below.
+	// fold is a serial chain (each frame diffs against its predecessor),
+	// and it replaces the per-frame full histogram scans below.
 	var ds *deltaState
 	var dsOwnRange int
 	var dsOwnValid bool
 	var dsMeas deltaMeas
 	if pol.DeltaAnalysis {
-		d, err := acquireDelta(seq.Frames[0].W, seq.Frames[0].H, pol.TileSize, pol.Options)
+		d, err := acquireDelta(seq.Frames[0].W, seq.Frames[0].H, pol.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		ds.meas.valid = false
 		for i := range st {
 			t0 := time.Now()
-			changed, total, err := ds.delta.UpdateShards(seq.Frames[i], &st[i].hist, workers)
+			changed, total, err := ds.delta.Update(seq.Frames[i], &st[i].hist)
 			st[i].analysis = time.Since(t0)
 			if err != nil {
 				return nil, err

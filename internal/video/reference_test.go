@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"hebs/internal/core"
+	"hebs/internal/gray"
 	"hebs/internal/histogram"
 	"hebs/internal/power"
+	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
 
@@ -121,37 +123,61 @@ func oraclePolicies() map[string]Policy {
 	}
 }
 
-// walkDelta is one delta-analysis setting of the oracle table. Tile 0
-// selects the 64-pixel default (one tile on the 48×48 fixtures); tile
-// 16 gives 9 tiles, so partial re-bins.
-type walkDelta struct {
-	on   bool
-	tile int
+// checksumClip is sipi "girl" at 128² (four 64×64 delta tiles). Frame
+// 1 rewrites 16 pixels of tile 0, row 0 with bytes that keep the
+// 64-bit FNV-style tile checksum FrameDelta once certified tiles with
+// (the pair is solved from that invertible fold), so a checksum would
+// call frame 1 identical and fuse it with frame 0's numbers. Frame 2
+// also patches tile 3 (a partial re-bin) and frame 3 returns to frame 0.
+func checksumClip(t *testing.T) *Sequence {
+	t.Helper()
+	girl, err := sipi.Generate("girl", 128, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := [2][]uint8{
+		{0x6a, 0x6a, 0x6a, 0x69, 0x69, 0x69, 0x6a, 0x6a, 0x6a, 0x69, 0x6a, 0x6a, 0x6a, 0x6a, 0x69, 0x6b},
+		{0x7a, 0x7a, 0x7a, 0x79, 0x79, 0x79, 0x7a, 0x7a, 0xc0, 0x0e, 0x89, 0xc0, 0x33, 0x6f, 0xac, 0xb7},
+	}
+	f0, f1 := girl.Clone(), girl.Clone()
+	copy(f0.Pix, pair[0])
+	copy(f1.Pix, pair[1])
+	f2 := f1.Clone()
+	for y := 100; y < 108; y++ {
+		for x := 100; x < 108; x++ {
+			f2.Pix[y*f2.W+x] ^= 0xff
+		}
+	}
+	seq, err := NewSequence([]*gray.Image{f0, f1, f2, f0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
 }
 
 // checkWalkMatrix asserts that Process equals referenceWalk bit for bit
 // — every per-frame β, range, distortion and saving, and the clip
 // aggregates — for every fixture × oracle policy × delta setting ×
 // worker count.
-func checkWalkMatrix(t *testing.T, deltas []walkDelta, workerCounts []int) {
+func checkWalkMatrix(t *testing.T, fixtures map[string]*Sequence, deltas []bool, workerCounts []int) {
 	t.Helper()
-	for seqName, seq := range pipelineFixtures(t) {
+	for seqName, seq := range fixtures {
 		for polName, pol := range oraclePolicies() {
 			want, err := referenceWalk(seq, pol)
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", seqName, polName, err)
 			}
-			for _, d := range deltas {
+			for _, delta := range deltas {
 				for _, workers := range workerCounts {
 					p := pol
-					p.DeltaAnalysis, p.TileSize, p.Workers = d.on, d.tile, workers
+					p.DeltaAnalysis, p.Workers = delta, workers
 					got, err := Process(seq, p)
 					if err != nil {
-						t.Fatalf("%s/%s delta=%v tile=%d workers=%d: %v", seqName, polName, d.on, d.tile, workers, err)
+						t.Fatalf("%s/%s delta=%v workers=%d: %v", seqName, polName, delta, workers, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s delta=%v tile=%d workers=%d: result differs from the reference walk:\n got %+v\nwant %+v",
-							seqName, polName, d.on, d.tile, workers, got, want)
+						t.Fatalf("%s/%s delta=%v workers=%d: result differs from the reference walk:\n got %+v\nwant %+v",
+							seqName, polName, delta, workers, got, want)
 					}
 				}
 			}
@@ -163,20 +189,23 @@ func checkWalkMatrix(t *testing.T, deltas []walkDelta, workerCounts []int) {
 // (Workers 0 and 1) with delta analysis off, the Result equals
 // referenceWalk's bit for bit across motion shapes and policy shapes.
 func TestWalkMatchesReference(t *testing.T) {
-	checkWalkMatrix(t, []walkDelta{{false, 0}}, []int{0, 1})
+	checkWalkMatrix(t, pipelineFixtures(t), []bool{false}, []int{0, 1})
 }
 
 // TestPipelinedMatchesSerial: with the phases fanned out over several
 // workers, the Result still equals the serial reference walk bit for
 // bit. The worker count is a parallelism bound, never a numeric knob.
 func TestPipelinedMatchesSerial(t *testing.T) {
-	checkWalkMatrix(t, []walkDelta{{false, 0}}, []int{2, 3, 8, -1})
+	checkWalkMatrix(t, pipelineFixtures(t), []bool{false}, []int{2, 3, 8, -1})
 }
 
 // TestDeltaMatchesFull: enabling DeltaAnalysis must not change a single
 // bit of the Result — it equals the full-analysis reference walk at
-// default and 16-pixel tiles and every worker count. Delta analysis is
-// an optimization, never an approximation.
+// every worker count, on the 48×48 fixtures (one tile) and on
+// checksumClip (four tiles, partial re-bins, and a rewrite no checksum
+// sees). Delta analysis is an optimization, never an approximation.
 func TestDeltaMatchesFull(t *testing.T) {
-	checkWalkMatrix(t, []walkDelta{{true, 0}, {true, 16}}, []int{0, 1, 2, 3, 8, -1})
+	fixtures := pipelineFixtures(t)
+	fixtures["checksum"] = checksumClip(t)
+	checkWalkMatrix(t, fixtures, []bool{true}, []int{0, 1, 2, 3, 8, -1})
 }

@@ -121,20 +121,18 @@ type Policy struct {
 	// per-frame range search (the expensive step). 0 disables reuse.
 	ReuseThreshold float64
 	// DeltaAnalysis enables tiled incremental histogram analysis: each
-	// frame is diffed against the previous one via per-tile checksums,
-	// only changed tiles are re-binned (subtract-stale/add-fresh keeps
-	// the global histogram exactly equal to a from-scratch scan), and a
-	// frame whose pixels did not change at all may be fused: it makes no
-	// engine call and copies the memoized β, distortion and power
-	// numbers. DeltaAnalysis only decides which frames skip work; a
-	// frame that does run is computed exactly as with it off, so outputs
-	// are byte-identical; see DESIGN.md "Incremental delta analysis".
+	// frame is compared byte for byte with the previous one in 64×64
+	// tiles (histogram.DefaultTileSize), only changed tiles are
+	// re-binned (subtract-stale/add-fresh keeps the global histogram
+	// exactly equal to a from-scratch scan), and a frame whose pixels
+	// did not change at all may be fused: it makes no engine call and
+	// copies the memoized β, distortion and power numbers.
+	// DeltaAnalysis only decides which frames skip work; a frame that
+	// does run is computed exactly as with it off, so outputs are
+	// byte-identical; see DESIGN.md "Incremental delta analysis".
 	// It applies to the classic walk only: the zoned walk always skips
 	// unchanged zones and replays identical frames inside the engine.
 	DeltaAnalysis bool
-	// TileSize is the delta-analysis tile edge in pixels (0 selects
-	// histogram.DefaultTileSize). Ignored unless DeltaAnalysis is set.
-	TileSize int
 	// Backend selects the backlight architecture. nil and the global
 	// CCFL backend walk the classic per-frame pipeline (the CCFL
 	// backend resolves Options.Subsystem from its lamp model, keeping
@@ -225,7 +223,7 @@ func ProcessContext(ctx context.Context, seq *Sequence, pol Policy) (*Result, er
 		return nil, errors.New("video: empty sequence")
 	}
 	// !(x >= 0) also rejects NaN, which would silently disable the feature.
-	if !(pol.MaxStep >= 0) || !(pol.CutThreshold >= 0) || !(pol.ReuseThreshold >= 0) || pol.TileSize < 0 {
+	if !(pol.MaxStep >= 0) || !(pol.CutThreshold >= 0) || !(pol.ReuseThreshold >= 0) {
 		return nil, fmt.Errorf("video: negative or NaN policy parameters %+v", pol)
 	}
 	if pol.Backend != nil {
