@@ -48,6 +48,7 @@ FUZZ_TARGETS := \
 	FuzzDetectCuts:./internal/video \
 	FuzzZonedWalk:./internal/video \
 	FuzzDeltaHistogram:./internal/histogram \
+	FuzzUQI:./internal/quality \
 	FuzzDecodePNM:./internal/imageio \
 	FuzzEncodeDecodePGM:./internal/imageio
 

@@ -120,6 +120,13 @@ type Engine struct {
 	rangeRecon [transform.Levels]atomic.Pointer[transform.LUT]
 
 	gets, puts, misses atomic.Int64
+
+	// zonedFree is the LIFO free list of zoned-walk states: a clip's
+	// next frame gets back its last frame's memos, which a sync.Pool
+	// may drop. It grows to the peak number of concurrent ProcessZoned
+	// calls.
+	zonedMu   sync.Mutex
+	zonedFree []*zonedState
 }
 
 // NewEngine returns an Engine with the given options.

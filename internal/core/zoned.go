@@ -241,11 +241,13 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	sp.SetString("backend", b.Name())
 	sp.SetInt("zones", zones)
 
-	st := acquireZonedState(img, g, opts, b)
+	st := e.acquireZonedState(img, g, opts, b)
 	sealed := false
 	defer func() {
 		st.sealed = sealed
-		zonedStatePool.Put(st)
+		e.zonedMu.Lock()
+		e.zonedFree = append(e.zonedFree, st)
+		e.zonedMu.Unlock()
 	}()
 
 	// Phase A — per-zone analysis. A zone byte-identical to its

@@ -2,7 +2,7 @@
 // from scratch each frame is almost always wasted work for video —
 // local-dimming content changes a few zones per frame while the rest
 // are byte-identical — so ProcessZoned keeps, per (geometry,
-// option-key) state object in a sync.Pool:
+// option-key) state object on the Engine's zoned free list:
 //
 //   - a reference copy of each zone's pixels, its histogram and its
 //     analyzed admissible range. A zone whose current pixels compare
@@ -40,7 +40,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"hebs/internal/backlight"
 	"hebs/internal/gray"
@@ -102,8 +101,6 @@ type zonedState struct {
 	unchanged []bool
 }
 
-var zonedStatePool = sync.Pool{New: func() any { return &zonedState{} }}
-
 // grow returns s resized to n elements, reallocating only on capacity
 // growth. Contents are unspecified.
 func grow[T any](s []T, n int) []T {
@@ -147,16 +144,24 @@ func (st *zonedState) invalidate() {
 	st.frameValid = false
 }
 
-// acquireZonedState fetches a pooled state and revalidates it against
-// the call's geometry, options and backend — the deltaState
+// acquireZonedState takes the most recently released state off the
+// engine's free list (a new one when it is empty) and revalidates it
+// against the call's geometry, options and backend — the deltaState
 // fingerprint-and-revalidate pattern. Any mismatch (or an unsealed
 // state from an aborted run) keeps the buffers but drops the memos.
 // Options KeyFor cannot fingerprint, or a backend whose dynamic type is
 // not comparable, keep no memo across calls.
-func acquireZonedState(img *gray.Image, g backlight.Grid, opts Options, b backlight.Backend) *zonedState {
+func (e *Engine) acquireZonedState(img *gray.Image, g backlight.Grid, opts Options, b backlight.Backend) *zonedState {
 	key, keyOK := KeyFor(opts)
 	keyOK = keyOK && reflect.TypeOf(b).Comparable()
-	st := zonedStatePool.Get().(*zonedState)
+	var st *zonedState
+	e.zonedMu.Lock()
+	if n := len(e.zonedFree); n > 0 {
+		st, e.zonedFree = e.zonedFree[n-1], e.zonedFree[:n-1]
+	} else {
+		st = &zonedState{}
+	}
+	e.zonedMu.Unlock()
 	if st.w != img.W || st.h != img.H || st.rows != g.Rows || st.cols != g.Cols || len(st.slots) != g.Zones() {
 		st.configure(img.W, img.H, g)
 		st.invalidate()

@@ -8,7 +8,6 @@
 package quality
 
 import (
-	"errors"
 	"math"
 
 	"hebs/internal/gray"
@@ -21,35 +20,12 @@ var msssimWeights = []float64{0.0448, 0.2856, 0.3001, 0.2363, 0.1333}
 // contrast·structure term over sliding windows — the factorization
 // MS-SSIM combines across scales.
 func ssimComponents(a, b *gray.Image, opts UQIOptions) (lum, cs float64, err error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, 0, err
-	}
-	opts, err = opts.normalized(a.W, a.H)
+	opts, err = opts.normalized(a, b)
 	if err != nil {
 		return 0, 0, err
 	}
-	const (
-		c1 = (0.01 * 255) * (0.01 * 255)
-		c2 = (0.03 * 255) * (0.03 * 255)
-	)
-	win, step := opts.Window, opts.Step
-	tables := getSAT(a, b)
-	defer putSAT(tables)
-	var sumL, sumCS float64
-	count := 0
-	for y := 0; y+win <= a.H; y += step {
-		for x := 0; x+win <= a.W; x += step {
-			m := tables.moments(x, y, win)
-			mx, my, vx, vy, cov := m.stats()
-			sumL += (2*mx*my + c1) / (mx*mx + my*my + c1)
-			sumCS += (2*cov + c2) / (vx + vy + c2)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, 0, errors.New("quality: image smaller than window")
-	}
-	return sumL / float64(count), sumCS / float64(count), nil
+	lum, cs = walk(a, b, opts.Window, opts.Step, ssimParts)
+	return lum, cs, nil
 }
 
 // MSSSIM returns the multi-scale structural similarity index over up

@@ -35,6 +35,9 @@ func checkPair(a, b *gray.Image) error {
 	if a == nil || b == nil {
 		return errors.New("quality: nil image")
 	}
+	if a.W < 1 || a.H < 1 {
+		return fmt.Errorf("quality: empty %dx%d image", a.W, a.H)
+	}
 	if a.W != b.W || a.H != b.H {
 		return fmt.Errorf("%w: %dx%d vs %dx%d", ErrShapeMismatch, a.W, a.H, b.W, b.H)
 	}
@@ -68,44 +71,10 @@ func PSNR(a, b *gray.Image) (float64, error) {
 	return 10 * math.Log10(255.0*255.0/mse), nil
 }
 
-// windowMoments accumulates the first and second moments of an aligned
-// pair of windows.
-type windowMoments struct {
-	n            float64
-	sumX, sumY   float64
-	sumXX, sumYY float64
-	sumXY        float64
-}
-
-func (m *windowMoments) add(x, y float64) {
-	m.n++
-	m.sumX += x
-	m.sumY += y
-	m.sumXX += x * x
-	m.sumYY += y * y
-	m.sumXY += x * y
-}
-
-func (m *windowMoments) stats() (mx, my, vx, vy, cov float64) {
-	mx = m.sumX / m.n
-	my = m.sumY / m.n
-	vx = m.sumXX/m.n - mx*mx
-	vy = m.sumYY/m.n - my*my
-	cov = m.sumXY/m.n - mx*my
-	// Guard tiny negatives from float cancellation.
-	if vx < 0 {
-		vx = 0
-	}
-	if vy < 0 {
-		vy = 0
-	}
-	return
-}
-
-// uqiWindow computes the Q index for a single window following the
-// degenerate-case handling of Wang & Bovik's reference implementation.
-func uqiWindow(m *windowMoments) float64 {
-	mx, my, vx, vy, cov := m.stats()
+// uqiWindow computes the Q index of one window from its means,
+// variances and covariance, following the degenerate-case handling of
+// Wang & Bovik's reference implementation.
+func uqiWindow(mx, my, vx, vy, cov float64) float64 {
 	d1 := vx + vy
 	d2 := mx*mx + my*my
 	switch {
@@ -135,7 +104,13 @@ type UQIOptions struct {
 	Step int
 }
 
-func (o UQIOptions) normalized(w, h int) (UQIOptions, error) {
+// normalized checks the pair and resolves the defaults and the
+// tiny-image fallback against its geometry.
+func (o UQIOptions) normalized(a, b *gray.Image) (UQIOptions, error) {
+	if err := checkPair(a, b); err != nil {
+		return o, err
+	}
+	w, h := a.W, a.H
 	if o.Window == 0 {
 		o.Window = DefaultWindow
 	}
@@ -160,157 +135,162 @@ func minInt(a, b int) int {
 	return b
 }
 
-// sat holds the five summed-area tables (integral images) needed to
-// evaluate the first and second joint moments of any axis-aligned
-// window pair in O(1): Σx, Σy, Σx², Σy², Σxy. Pixel values are at most
-// 255, so even Σxy over the largest supported image fits comfortably
-// in int64.
-type sat struct {
-	w, h                  int
-	sx, sy, sxx, syy, sxy []int64
+// colSums holds the exact integer moment sums Σx, Σy, Σx², Σy², Σxy
+// of one column (or one window) of an aligned image pair. Pixel values
+// are at most 255, so Σxy over any supported window fits in int64 and
+// converts to float64 exactly.
+type colSums struct{ x, y, xx, yy, xy int64 }
+
+// slide adds in's sums to s and subtracts out's.
+func (s *colSums) slide(in, out *colSums) {
+	s.x += in.x - out.x
+	s.y += in.y - out.y
+	s.xx += in.xx - out.xx
+	s.yy += in.yy - out.yy
+	s.xy += in.xy - out.xy
 }
 
-// satPools recycles summed-area tables between metric evaluations,
-// one pool per image geometry. The SAT is by far the dominant
-// allocation of a UQI/SSIM call (five (w+1)×(h+1) int64 tables), and
-// the hot callers interleave geometries — the zoned walk alternates
-// zone-sized and frame-sized evaluations every frame, MS-SSIM walks a
-// pyramid — so a single shared pool would evict on every flip and
-// leak the dropped tables to the collector. Keying the pool by (w, h)
-// keeps every active geometry warm; the key set is tiny (a few zone
-// and frame sizes per process), so the map never grows meaningfully.
-var satPools sync.Map // satGeom -> *sync.Pool
+// colPool recycles walk's column-sum buffer. A buffer serves every
+// image no wider than itself, so one pool covers all geometries.
+var colPool sync.Pool // *[]colSums
 
-type satGeom struct{ w, h int }
-
-// getSAT returns a built summed-area table for the pair, reusing a
-// pooled allocation of the same geometry when one is available.
-func getSAT(a, b *gray.Image) *sat {
-	if p, ok := satPools.Load(satGeom{a.W, a.H}); ok {
-		if v := p.(*sync.Pool).Get(); v != nil {
-			s := v.(*sat)
-			s.resetBorder()
-			s.build(a, b)
-			return s
-		}
-	}
-	return newSAT(a, b)
+// newCols allocates a column-sum buffer on a pool miss, outside the
+// //hebs:noalloc walk.
+//
+//go:noinline
+func newCols(w int) *[]colSums {
+	s := make([]colSums, w)
+	return &s
 }
 
-// newSAT allocates and builds the tables without touching the pool.
-func newSAT(a, b *gray.Image) *sat {
+// metricKind selects the per-window terms walk averages.
+type metricKind int
+
+const (
+	uqiTerms  metricKind = iota // Q
+	ssimTerms                   // SSIM
+	ssimParts                   // luminance, contrast·structure
+)
+
+// SSIM's stabilizing constants C1=(0.01·L)², C2=(0.03·L)², L=255.
+const (
+	c1 = (0.01 * 255) * (0.01 * 255)
+	c2 = (0.03 * 255) * (0.03 * 255)
+)
+
+// walk slides a win×win window over the aligned pair a, b at the given
+// step (both already validated by normalized) and returns the means
+// over windows of kind's per-window terms, summed in row-major window
+// order. It keeps one running sum per column over the window's rows,
+// moves the rows down by subtracting the leaving row and adding the
+// entering one, and slides each window row across the columns the same
+// way, so every window's sums are exact integers at O(1) cost. A
+// window's statistics are sum/n; when n = win² is a power of two,
+// sum·(1/n) is the same float64 (both are exact) without the five
+// divisions.
+//
+//hebs:noalloc
+func walk(a, b *gray.Image, win, step int, kind metricKind) (mean1, mean2 float64) {
 	w, h := a.W, a.H
-	stride := w + 1
-	s := &sat{
-		w: w, h: h,
-		sx:  make([]int64, stride*(h+1)),
-		sy:  make([]int64, stride*(h+1)),
-		sxx: make([]int64, stride*(h+1)),
-		syy: make([]int64, stride*(h+1)),
-		sxy: make([]int64, stride*(h+1)),
+	p, _ := colPool.Get().(*[]colSums)
+	if p == nil || len(*p) < w {
+		p = newCols(w)
 	}
-	s.build(a, b)
-	return s
-}
-
-func putSAT(s *sat) {
-	p, ok := satPools.Load(satGeom{s.w, s.h})
-	if !ok {
-		p, _ = satPools.LoadOrStore(satGeom{s.w, s.h}, &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(s)
-}
-
-// resetBorder zeroes row 0 and column 0 of each table. build overwrites
-// every interior cell but never touches the zero border the prefix-sum
-// recurrences (and the moments box queries) read.
-func (s *sat) resetBorder() {
-	stride := s.w + 1
-	for _, t := range [...][]int64{s.sx, s.sy, s.sxx, s.syy, s.sxy} {
-		for x := 0; x <= s.w; x++ {
-			t[x] = 0
-		}
-		for y := 1; y <= s.h; y++ {
-			t[y*stride] = 0
+	cols := (*p)[:w]
+	clear(cols)
+	for r := 0; r < win; r++ {
+		ra, rb := a.Pix[r*w:(r+1)*w], b.Pix[r*w:(r+1)*w]
+		for c := range cols {
+			x, y := int64(ra[c]), int64(rb[c])
+			s := &cols[c]
+			s.x += x
+			s.y += y
+			s.xx += x * x
+			s.yy += y * y
+			s.xy += x * y
 		}
 	}
-}
-
-func (s *sat) build(a, b *gray.Image) {
-	w, h := s.w, s.h
-	stride := w + 1
-	for y := 0; y < h; y++ {
-		var rx, ry, rxx, ryy, rxy int64
-		row := y * w
-		out := (y + 1) * stride
-		prev := y * stride
-		for x := 0; x < w; x++ {
-			av := int64(a.Pix[row+x])
-			bv := int64(b.Pix[row+x])
-			rx += av
-			ry += bv
-			rxx += av * av
-			ryy += bv * bv
-			rxy += av * bv
-			s.sx[out+x+1] = s.sx[prev+x+1] + rx
-			s.sy[out+x+1] = s.sy[prev+x+1] + ry
-			s.sxx[out+x+1] = s.sxx[prev+x+1] + rxx
-			s.syy[out+x+1] = s.syy[prev+x+1] + ryy
-			s.sxy[out+x+1] = s.sxy[prev+x+1] + rxy
+	n := float64(win * win)
+	inv, pow2 := 1/n, win*win&(win*win-1) == 0
+	var sum1, sum2 float64
+	count := 0
+	var zero colSums
+	for y0 := 0; ; {
+		var s colSums
+		for c := 0; c < win; c++ {
+			s.slide(&cols[c], &zero)
+		}
+		for x0 := 0; ; {
+			// The explicit conversions round each scaled sum on its own,
+			// as a division would, so no product is fused into the
+			// subtractions below.
+			var mx, my, exx, eyy, exy float64
+			if pow2 {
+				mx, my = float64(float64(s.x)*inv), float64(float64(s.y)*inv)
+				exx, eyy, exy = float64(float64(s.xx)*inv), float64(float64(s.yy)*inv), float64(float64(s.xy)*inv)
+			} else {
+				mx, my = float64(s.x)/n, float64(s.y)/n
+				exx, eyy, exy = float64(s.xx)/n, float64(s.yy)/n, float64(s.xy)/n
+			}
+			vx, vy, cov := exx-mx*mx, eyy-my*my, exy-mx*my
+			// Guard tiny negatives from float cancellation.
+			if vx < 0 {
+				vx = 0
+			}
+			if vy < 0 {
+				vy = 0
+			}
+			switch kind {
+			case uqiTerms:
+				sum1 += uqiWindow(mx, my, vx, vy, cov)
+			case ssimTerms:
+				num := (2*mx*my + c1) * (2*cov + c2)
+				den := (mx*mx + my*my + c1) * (vx + vy + c2)
+				sum1 += num / den
+			default:
+				sum1 += (2*mx*my + c1) / (mx*mx + my*my + c1)
+				sum2 += (2*cov + c2) / (vx + vy + c2)
+			}
+			count++
+			if x0 += step; x0+win > w {
+				break
+			}
+			for c := x0 - step; c < x0; c++ {
+				s.slide(&cols[c+win], &cols[c])
+			}
+		}
+		if y0 += step; y0+win > h {
+			break
+		}
+		for r := y0 - step; r < y0; r++ {
+			oa, ob := a.Pix[r*w:(r+1)*w], b.Pix[r*w:(r+1)*w]
+			ia, ib := a.Pix[(r+win)*w:(r+win+1)*w], b.Pix[(r+win)*w:(r+win+1)*w]
+			for c := range cols {
+				xo, yo, xi, yi := int64(oa[c]), int64(ob[c]), int64(ia[c]), int64(ib[c])
+				s := &cols[c]
+				s.x += xi - xo
+				s.y += yi - yo
+				s.xx += xi*xi - xo*xo
+				s.yy += yi*yi - yo*yo
+				s.xy += xi*yi - xo*yo
+			}
 		}
 	}
-}
-
-// moments returns the joint moments of the win×win window anchored at
-// (x, y).
-func (s *sat) moments(x, y, win int) windowMoments {
-	stride := s.w + 1
-	tl := y*stride + x
-	tr := tl + win
-	bl := (y+win)*stride + x
-	br := bl + win
-	box := func(t []int64) float64 {
-		return float64(t[br] - t[tr] - t[bl] + t[tl])
-	}
-	return windowMoments{
-		n:     float64(win * win),
-		sumX:  box(s.sx),
-		sumY:  box(s.sy),
-		sumXX: box(s.sxx),
-		sumYY: box(s.syy),
-		sumXY: box(s.sxy),
-	}
+	colPool.Put(p)
+	return sum1 / float64(count), sum2 / float64(count)
 }
 
 // UQI returns the Universal Image Quality Index between two images,
 // averaged over sliding windows. The result lies in [-1, 1], with 1 for
-// identical images. Window moments are evaluated through summed-area
-// tables, so the cost is O(pixels + windows) rather than
-// O(windows × window area).
+// identical images. Window moments are running sums (see walk), so the
+// cost is O(pixels + windows) rather than O(windows × window area).
 func UQI(a, b *gray.Image, opts UQIOptions) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	opts, err := opts.normalized(a.W, a.H)
+	opts, err := opts.normalized(a, b)
 	if err != nil {
 		return 0, err
 	}
-	win, step := opts.Window, opts.Step
-	tables := getSAT(a, b)
-	defer putSAT(tables)
-	total := 0.0
-	count := 0
-	for y := 0; y+win <= a.H; y += step {
-		for x := 0; x+win <= a.W; x += step {
-			m := tables.moments(x, y, win)
-			total += uqiWindow(&m)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, errors.New("quality: image smaller than window")
-	}
-	return total / float64(count), nil
+	q, _ := walk(a, b, opts.Window, opts.Step, uqiTerms)
+	return q, nil
 }
 
 // SSIM returns the Structural Similarity index with the standard
@@ -320,36 +300,12 @@ func UQI(a, b *gray.Image, opts UQIOptions) (float64, error) {
 // behaviour for the backlight-scaling comparisons made here and is what
 // UQI itself uses.)
 func SSIM(a, b *gray.Image, opts UQIOptions) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	opts, err := opts.normalized(a.W, a.H)
+	opts, err := opts.normalized(a, b)
 	if err != nil {
 		return 0, err
 	}
-	const (
-		c1 = (0.01 * 255) * (0.01 * 255)
-		c2 = (0.03 * 255) * (0.03 * 255)
-	)
-	win, step := opts.Window, opts.Step
-	tables := getSAT(a, b)
-	defer putSAT(tables)
-	total := 0.0
-	count := 0
-	for y := 0; y+win <= a.H; y += step {
-		for x := 0; x+win <= a.W; x += step {
-			m := tables.moments(x, y, win)
-			mx, my, vx, vy, cov := m.stats()
-			num := (2*mx*my + c1) * (2*cov + c2)
-			den := (mx*mx + my*my + c1) * (vx + vy + c2)
-			total += num / den
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, errors.New("quality: image smaller than window")
-	}
-	return total / float64(count), nil
+	s, _ := walk(a, b, opts.Window, opts.Step, ssimTerms)
+	return s, nil
 }
 
 // DistortionPercent converts a quality index Q in [-1,1] to the paper's

@@ -1,12 +1,15 @@
 package quality
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"hebs/internal/gray"
 	"hebs/internal/rng"
+	"hebs/internal/sipi"
+	"hebs/internal/transform"
 )
 
 // noisy returns a deterministic pseudo-natural test image.
@@ -198,6 +201,9 @@ func TestUQIBadOptions(t *testing.T) {
 	if _, err := UQI(m, m, UQIOptions{Step: -2}); err == nil {
 		t.Error("negative step should error")
 	}
+	if _, err := UQI(&gray.Image{}, &gray.Image{}, UQIOptions{}); err == nil {
+		t.Error("empty image should error")
+	}
 }
 
 func TestUQIBlockModeMatchesSlidingOnUniformStats(t *testing.T) {
@@ -321,10 +327,44 @@ func TestContrastFidelityComplement(t *testing.T) {
 	}
 }
 
-// uqiNaive recomputes UQI with direct per-window accumulation — the
-// reference the summed-area-table implementation must match exactly.
-func uqiNaive(a, b *gray.Image, win, step int) float64 {
-	total := 0.0
+// windowMoments accumulates the first and second moments of an aligned
+// pair of windows one pixel at a time.
+type windowMoments struct {
+	n            float64
+	sumX, sumY   float64
+	sumXX, sumYY float64
+	sumXY        float64
+}
+
+func (m *windowMoments) add(x, y float64) {
+	m.n++
+	m.sumX += x
+	m.sumY += y
+	m.sumXX += x * x
+	m.sumYY += y * y
+	m.sumXY += x * y
+}
+
+func (m *windowMoments) stats() (mx, my, vx, vy, cov float64) {
+	mx = m.sumX / m.n
+	my = m.sumY / m.n
+	vx = m.sumXX/m.n - mx*mx
+	vy = m.sumYY/m.n - my*my
+	cov = m.sumXY/m.n - mx*my
+	if vx < 0 {
+		vx = 0
+	}
+	if vy < 0 {
+		vy = 0
+	}
+	return
+}
+
+// naiveMeans is the oracle the walker must match bit for bit: it
+// accumulates every window pixel by pixel, divides by n, and averages
+// the per-window terms of UQI (Q), SSIM, and MS-SSIM's luminance and
+// contrast·structure factors in row-major window order.
+func naiveMeans(a, b *gray.Image, win, step int) (q, ssim, lum, cs float64) {
 	count := 0
 	for y := 0; y+win <= a.H; y += step {
 		for x := 0; x+win <= a.W; x += step {
@@ -336,76 +376,125 @@ func uqiNaive(a, b *gray.Image, win, step int) float64 {
 					m.add(float64(a.Pix[i]), float64(b.Pix[i]))
 				}
 			}
-			total += uqiWindow(&m)
+			mx, my, vx, vy, cov := m.stats()
+			q += uqiWindow(mx, my, vx, vy, cov)
+			ssim += (2*mx*my + c1) * (2*cov + c2) / ((mx*mx + my*my + c1) * (vx + vy + c2))
+			lum += (2*mx*my + c1) / (mx*mx + my*my + c1)
+			cs += (2*cov + c2) / (vx + vy + c2)
 			count++
 		}
 	}
-	return total / float64(count)
+	n := float64(count)
+	return q / n, ssim / n, lum / n, cs / n
 }
 
-func TestUQISATMatchesNaive(t *testing.T) {
-	for seed := uint64(0); seed < 6; seed++ {
-		a := noisy(40, 33, seed*2+1)
-		b := noisy(40, 33, seed*2+2)
-		for _, cfg := range []UQIOptions{{Window: 8, Step: 1}, {Window: 8, Step: 8}, {Window: 5, Step: 3}, {Window: 1, Step: 1}} {
-			got, err := UQI(a, b, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := uqiNaive(a, b, cfg.Window, cfg.Step)
-			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("seed %d cfg %+v: SAT UQI %v != naive %v", seed, cfg, got, want)
-			}
-		}
-	}
+// uqiNaive is naiveMeans' UQI.
+func uqiNaive(a, b *gray.Image, win, step int) float64 {
+	q, _, _, _ := naiveMeans(a, b, win, step)
+	return q
 }
 
-func TestUQISATMatchesNaiveExtremes(t *testing.T) {
-	// All-white vs all-black: the largest possible sums, checking the
-	// integral tables don't overflow or lose precision.
-	a := gray.New(64, 64)
-	a.Fill(255)
-	b := gray.New(64, 64)
-	got, err := UQI(a, b, UQIOptions{})
+// checkWalkerMatchesNaive requires UQI, SSIM and ssimComponents to
+// equal the naive oracle in every bit.
+func checkWalkerMatchesNaive(t testing.TB, name string, a, b *gray.Image, opts UQIOptions) {
+	t.Helper()
+	norm, err := opts.normalized(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := uqiNaive(a, b, DefaultWindow, 1)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("extreme SAT UQI %v != naive %v", got, want)
+	wq, ws, wl, wc := naiveMeans(a, b, norm.Window, norm.Step)
+	q, err1 := UQI(a, b, opts)
+	s, err2 := SSIM(a, b, opts)
+	l, c, err3 := ssimComponents(a, b, opts)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		metric    string
+		got, want float64
+	}{{"UQI", q, wq}, {"SSIM", s, ws}, {"luminance", l, wl}, {"contrast-structure", c, wc}} {
+		if math.Float64bits(v.got) != math.Float64bits(v.want) {
+			t.Errorf("%s %dx%d %+v: %s %v (%#x) != naive %v (%#x)", name, a.W, a.H, opts,
+				v.metric, v.got, math.Float64bits(v.got), v.want, math.Float64bits(v.want))
+		}
 	}
 }
 
-func TestSATMomentsProperty(t *testing.T) {
-	a := noisy(30, 20, 91)
-	b := noisy(30, 20, 92)
-	tables := newSAT(a, b)
-	f := func(xr, yr, wr uint8) bool {
-		win := int(wr)%10 + 1
-		if win > 20 {
-			return true
+// TestUQIWalkerMatchesNaive: the running-sum walker is bit-identical to
+// direct per-window accumulation for unrelated images, block and
+// strided steps, windows that are not a power of two, and the 1×1
+// window.
+func TestUQIWalkerMatchesNaive(t *testing.T) {
+	for seed := uint64(0); seed < 6; seed++ {
+		a := noisy(40, 33, seed*2+1)
+		b := noisy(40, 33, seed*2+2)
+		for _, cfg := range []UQIOptions{{Window: 8, Step: 1}, {Window: 8, Step: 8}, {Window: 8, Step: 11},
+			{Window: 5, Step: 3}, {Window: 7, Step: 1}, {Window: 4, Step: 2}, {Window: 2, Step: 1}, {Window: 1, Step: 1}} {
+			checkWalkerMatchesNaive(t, "noisy", a, b, cfg)
 		}
-		x := int(xr) % (30 - win + 1)
-		y := int(yr) % (20 - win + 1)
-		got := tables.moments(x, y, win)
-		var want windowMoments
-		for dy := 0; dy < win; dy++ {
-			for dx := 0; dx < win; dx++ {
-				i := (y+dy)*a.W + x + dx
-				want.add(float64(a.Pix[i]), float64(b.Pix[i]))
+	}
+}
+
+// TestUQIWalkerMatchesNaiveSuite: the walker matches the oracle on the
+// comparisons the range search makes, every benchmark image against
+// its reconstruction after linear compression to range R, plus the
+// all-white against all-black extreme (the largest sums) and the
+// tiny-image fallback.
+func TestUQIWalkerMatchesNaiveSuite(t *testing.T) {
+	for _, size := range []int{37, 64, 256} {
+		suite, err := sipi.Suite(size, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size == 256 && testing.Short() {
+			suite = suite[:2]
+		}
+		for _, r := range []int{2, 20, 100, 200, 255} {
+			lut, err := transform.ScaleToRange(0, uint8(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recon, err := lut.Reconstruction()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, im := range suite {
+				checkWalkerMatchesNaive(t, im.Name, im.Image, recon.Apply(im.Image), UQIOptions{})
 			}
 		}
-		return got.n == want.n &&
-			got.sumX == want.sumX && got.sumY == want.sumY &&
-			got.sumXX == want.sumXX && got.sumYY == want.sumYY &&
-			got.sumXY == want.sumXY
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	white, black := gray.New(64, 64), gray.New(64, 64)
+	white.Fill(255)
+	checkWalkerMatchesNaive(t, "white/black", white, black, UQIOptions{})
+	checkWalkerMatchesNaive(t, "white/black", white, black, UQIOptions{Window: 64})
+	checkWalkerMatchesNaive(t, "tiny", noisy(3, 300, 1), noisy(3, 300, 2), UQIOptions{})
 }
 
-func BenchmarkUQISlidingSAT(b *testing.B) {
+// FuzzUQI drives the walker against the oracle over random geometries,
+// windows, steps and pixels.
+func FuzzUQI(f *testing.F) {
+	f.Add(uint8(37), uint8(29), uint8(8), uint8(1), uint64(1))
+	f.Add(uint8(9), uint8(200), uint8(8), uint8(3), uint64(2))
+	f.Add(uint8(3), uint8(3), uint8(0), uint8(0), uint64(3))
+	f.Add(uint8(64), uint8(64), uint8(6), uint8(7), uint64(4))
+	f.Fuzz(func(t *testing.T, w, h, win, step uint8, seed uint64) {
+		if w == 0 || h == 0 {
+			return
+		}
+		a, b := gray.New(int(w), int(h)), gray.New(int(w), int(h))
+		s := rng.New(seed)
+		for i := range a.Pix {
+			a.Pix[i] = uint8(s.Intn(256))
+			b.Pix[i] = uint8(s.Intn(256))
+			if s.Intn(4) == 0 {
+				b.Pix[i] = a.Pix[i] // correlated runs and flat windows
+			}
+		}
+		checkWalkerMatchesNaive(t, "fuzz", a, b, UQIOptions{Window: int(win) % 17, Step: int(step) % 9})
+	})
+}
+
+func BenchmarkUQISliding(b *testing.B) {
 	x := noisy(128, 128, 1)
 	y := noisy(128, 128, 2)
 	b.ReportAllocs()
