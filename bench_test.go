@@ -161,7 +161,10 @@ func BenchmarkKernelUQI(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	other := img.Map(func(v uint8) uint8 { return v / 2 })
+	other := img.Clone()
+	for i, v := range other.Pix {
+		other.Pix[i] = v / 2
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := quality.UQI(img, other, quality.UQIOptions{}); err != nil {

@@ -604,7 +604,7 @@ func runPerf(ctx context.Context, workers int, delta bool) ([]perfRecord, error)
 
 // talkingClip builds the deterministic "talking head" benchmark clip: a
 // portrait base frame with a small animated mouth patch, so most tiles
-// are checksum-identical frame to frame and only the patch's tiles
+// are byte-identical frame to frame and only the patch's tiles
 // re-bin. Pure function of (size, frames) — same determinism contract
 // as the sipi generators.
 func talkingClip(size, count int) (*video.Sequence, error) {

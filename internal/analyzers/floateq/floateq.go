@@ -2,7 +2,7 @@
 // between floating-point operands. In the HEBS code base float
 // equality is almost always a latent bug: distortion percentages, β
 // factors and MSE values come out of chains of float arithmetic where
-// exact equality is meaningless (compare mathx.AlmostEqual instead).
+// exact equality is meaningless (use an epsilon compare instead).
 //
 // Two idioms are deliberately exempt:
 //
@@ -48,7 +48,7 @@ func run(pass *analysis.Pass) error {
 			if isSelfCompare(be) {
 				return true
 			}
-			pass.Reportf(be.OpPos, "floating-point %s comparison; use an epsilon compare (mathx.AlmostEqual) or allowlist a sentinel", be.Op)
+			pass.Reportf(be.OpPos, "floating-point %s comparison; use an epsilon compare or allowlist a sentinel", be.Op)
 			return true
 		})
 	}

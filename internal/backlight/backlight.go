@@ -35,11 +35,6 @@ type Grid struct {
 // Zones returns the zone count Rows×Cols.
 func (g Grid) Zones() int { return g.Rows * g.Cols }
 
-// Zoned reports whether the grid has more than one zone — the
-// capability query that routes a sequence through the per-zone walk
-// instead of the classic single-β pipeline.
-func (g Grid) Zoned() bool { return g.Zones() > 1 }
-
 // ZoneRect returns zone k's pixel rectangle [x0,x1)×[y0,y1) on a w×h
 // panel, in row-major zone order. Boundaries follow the integer split
 // lo = i·n/parts, so the zones partition the panel exactly: every

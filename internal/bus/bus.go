@@ -75,20 +75,6 @@ func zigzag(d int8) uint8 {
 	return uint8((int16(d) << 1) ^ (int16(d) >> 7))
 }
 
-// unzigzag inverts zigzag.
-func unzigzag(z uint8) int8 {
-	return int8((int16(z) >> 1) ^ -(int16(z) & 1))
-}
-
-// fromGray inverts toGray.
-func fromGray(g uint8) uint8 {
-	v := g
-	v ^= v >> 1
-	v ^= v >> 2
-	v ^= v >> 4
-	return v
-}
-
 // Stats summarizes a simulated transmission.
 type Stats struct {
 	Encoding    Encoding
@@ -158,75 +144,6 @@ func Transmit(words []uint8, enc Encoding) (Stats, error) {
 		state = wire
 	}
 	return st, nil
-}
-
-// Decode recovers the plaintext words from a wire stream, verifying
-// that every encoding is lossless. invertFlags is required for
-// BusInvert (one flag per word) and ignored otherwise.
-func Decode(wire []uint8, enc Encoding, invertFlags []bool) ([]uint8, error) {
-	out := make([]uint8, len(wire))
-	var prev uint8
-	for i, w := range wire {
-		switch enc {
-		case Raw:
-			out[i] = w
-		case GrayCode:
-			out[i] = fromGray(w)
-		case Differential:
-			out[i] = prev + uint8(unzigzag(w))
-			prev = out[i]
-		case BusInvert:
-			if invertFlags == nil || len(invertFlags) != len(wire) {
-				return nil, errors.New("bus: bus-invert decode needs one flag per word")
-			}
-			if invertFlags[i] {
-				out[i] = ^w
-			} else {
-				out[i] = w
-			}
-		default:
-			return nil, fmt.Errorf("bus: unknown encoding %v", enc)
-		}
-	}
-	return out, nil
-}
-
-// Encode produces the wire stream (and bus-invert flags) for a word
-// sequence — the counterpart of Decode used by the round-trip tests.
-func Encode(words []uint8, enc Encoding) (wire []uint8, invertFlags []bool, err error) {
-	wire = make([]uint8, len(words))
-	var state uint8
-	var prevWord uint8
-	if enc == BusInvert {
-		invertFlags = make([]bool, len(words))
-	}
-	for i, w := range words {
-		switch enc {
-		case Raw:
-			wire[i] = w
-		case GrayCode:
-			wire[i] = toGray(w)
-		case Differential:
-			wire[i] = zigzag(int8(w - prevWord))
-			prevWord = w
-		case BusInvert:
-			plain := w
-			inverted := ^w
-			if bits.OnesCount8(plain^state) <= bits.OnesCount8(inverted^state) {
-				wire[i] = plain
-			} else {
-				wire[i] = inverted
-				invertFlags[i] = true
-			}
-			state = wire[i]
-		default:
-			return nil, nil, fmt.Errorf("bus: unknown encoding %v", enc)
-		}
-		if enc != BusInvert {
-			state = wire[i]
-		}
-	}
-	return wire, invertFlags, nil
 }
 
 // TransmitImage streams an image in raster order.

@@ -9,10 +9,15 @@ import (
 )
 
 func TestGrayCodeRoundTrip(t *testing.T) {
+	// toGray is a bijection on 8-bit words, so Gray-code transmission
+	// is lossless: every code maps back to exactly one value.
+	var seen [256]bool
 	for v := 0; v < 256; v++ {
-		if got := fromGray(toGray(uint8(v))); got != uint8(v) {
-			t.Fatalf("gray round trip failed at %d: %d", v, got)
+		g := toGray(uint8(v))
+		if seen[g] {
+			t.Fatalf("gray code %d repeats at %d", g, v)
 		}
+		seen[g] = true
 	}
 }
 
@@ -86,45 +91,27 @@ func TestBusInvertNeverWorseThanHalfPlusOne(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(words []uint8) bool {
-		for _, enc := range Encodings {
-			wire, flags, err := Encode(words, enc)
-			if err != nil {
-				return false
-			}
-			back, err := Decode(wire, enc, flags)
-			if err != nil {
-				return false
-			}
-			if len(back) != len(words) {
-				return false
-			}
-			for i := range words {
-				if back[i] != words[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEncodeMatchesTransmitCounts(t *testing.T) {
-	// Transitions measured by Transmit equal those implied by the
-	// Encode wire stream (excluding the indicator line).
+	// Transitions measured by Transmit equal those implied by each
+	// scheme's wire words (bus-invert's indicator line aside).
 	words := []uint8{3, 200, 7, 7, 130, 255, 0, 64}
 	for _, enc := range []Encoding{Raw, GrayCode, Differential} {
 		st, err := Transmit(words, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire, _, err := Encode(words, enc)
-		if err != nil {
-			t.Fatal(err)
+		wire := make([]uint8, len(words))
+		var prev uint8
+		for i, w := range words {
+			switch enc {
+			case Raw:
+				wire[i] = w
+			case GrayCode:
+				wire[i] = toGray(w)
+			case Differential:
+				wire[i] = zigzag(int8(w - prev))
+				prev = w
+			}
 		}
 		var state uint8
 		var n int64
@@ -133,26 +120,8 @@ func TestEncodeMatchesTransmitCounts(t *testing.T) {
 			state = w
 		}
 		if n != st.Transitions {
-			t.Errorf("%v: Transmit says %d, Encode wire implies %d", enc, st.Transitions, n)
+			t.Errorf("%v: Transmit says %d, wire words imply %d", enc, st.Transitions, n)
 		}
-	}
-}
-
-func TestDecodeValidation(t *testing.T) {
-	if _, err := Decode([]uint8{1}, BusInvert, nil); err == nil {
-		t.Error("bus-invert decode without flags should error")
-	}
-	if _, err := Decode([]uint8{1}, Encoding(99), nil); err == nil {
-		t.Error("unknown encoding should error")
-	}
-	if _, err, _ := func() ([]uint8, error, bool) {
-		w, _, e := Encode([]uint8{1}, Encoding(99))
-		return w, e, true
-	}(); err == nil {
-		t.Error("unknown encoding in Encode should error")
-	}
-	if _, err := Transmit([]uint8{1}, Encoding(99)); err == nil {
-		t.Error("unknown encoding in Transmit should error")
 	}
 }
 
@@ -215,6 +184,9 @@ func TestCompareImageNil(t *testing.T) {
 	}
 	if _, err := TransmitImage(nil, Raw); err == nil {
 		t.Error("nil image should error")
+	}
+	if _, err := Transmit([]uint8{1}, Encoding(99)); err == nil {
+		t.Error("unknown encoding in Transmit should error")
 	}
 }
 

@@ -20,12 +20,3 @@ func ExampleTransmit() {
 	// raw:        40 transitions
 	// bus-invert: 5 transitions (+1 wire)
 }
-
-// ExampleEncode shows that every encoding is lossless.
-func ExampleEncode() {
-	words := []uint8{12, 13, 14, 200, 201}
-	wire, flags, _ := bus.Encode(words, bus.Differential)
-	back, _ := bus.Decode(wire, bus.Differential, flags)
-	fmt.Println(back)
-	// Output: [12 13 14 200 201]
-}

@@ -350,10 +350,13 @@ func enforceNonIncreasing(pts []fit.Point) {
 	}
 }
 
-// MinRangeExact performs the per-image version of the curve lookup:
-// the smallest dynamic range in [2, 255] whose measured linear
-// range-reduction distortion on this specific image does not exceed
-// maxDistortion. The Table 1 reproduction uses this per-image search,
+// MinRangeExact performs the per-image version of the curve lookup: a
+// bisection over [2, 255] on D(R), the measured linear range-reduction
+// distortion of this specific image. D(R) is not monotone in R, so the
+// result is a local crossing, not necessarily the smallest passing
+// range: D(R) ≤ maxDistortion, and R = 2 or D(R−1) > maxDistortion.
+// Which crossing it finds depends on the probe path. When no probe
+// passes, R = 255. The Table 1 reproduction uses this per-image search,
 // which is why its power savings vary across rows.
 func MinRangeExact(img *gray.Image, maxDistortion float64, metric Metric) (int, error) {
 	if maxDistortion < 0 {

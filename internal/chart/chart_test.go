@@ -72,7 +72,7 @@ func TestTransformDistortionIdentityZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := TransformDistortion(img, transform.Identity(), nil)
+	d, err := TransformDistortion(img, transform.FromFunc(func(x float64) float64 { return x }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTransformDistortionRejectsNonMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := transform.Identity()
+	bad := transform.FromFunc(func(x float64) float64 { return x })
 	bad[10] = 200
 	bad[11] = 5
 	if _, err := TransformDistortion(img, bad, nil); err == nil {
@@ -197,36 +197,44 @@ func TestMinRangeClampsToSweep(t *testing.T) {
 	}
 }
 
+// TestMinRangeExact pins the search's contract on every suite image: D(R)
+// is not monotone in R, so the bisection returns a local crossing —
+// D(R) ≤ budget, and R = 2 or D(R−1) > budget — not necessarily the
+// smallest passing range. R = 255 with D(255) over budget means no
+// probe passed.
 func TestMinRangeExact(t *testing.T) {
-	img, err := sipi.Generate("lena", 64, 64)
+	suite, err := sipi.Suite(64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := MinRangeExact(img, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 2 || r > 255 {
-		t.Fatalf("R = %d out of domain", r)
-	}
-	// The returned range satisfies the budget; R-1 must not (unless at
-	// the domain edge).
-	d, err := RangeReductionDistortion(img, r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 8 && r < 255 {
-		t.Errorf("distortion at returned R=%d is %v > 8", r, d)
-	}
-	if r > 2 {
-		dPrev, err := RangeReductionDistortion(img, r-1, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, ni := range suite {
+		for _, budget := range []float64{5, 10, 20} {
+			r, err := MinRangeExact(ni.Image, budget, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r < 2 || r > 255 {
+				t.Fatalf("%s budget %v: R = %d out of domain", ni.Name, budget, r)
+			}
+			d, err := RangeReductionDistortion(ni.Image, r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d > budget && r < 255 {
+				t.Errorf("%s budget %v: distortion at returned R=%d is %v", ni.Name, budget, r, d)
+			}
+			if r > 2 {
+				dPrev, err := RangeReductionDistortion(ni.Image, r-1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dPrev <= budget {
+					t.Errorf("%s budget %v: R-1=%d already satisfies the budget (%v); not a local crossing", ni.Name, budget, r-1, dPrev)
+				}
+			}
 		}
-		if dPrev <= 8 {
-			t.Errorf("R-1=%d already satisfies the budget (%v); not minimal", r-1, dPrev)
-		}
 	}
+	img := suite[0].Image
 	if _, err := MinRangeExact(img, -1, nil); err == nil {
 		t.Error("negative budget should error")
 	}

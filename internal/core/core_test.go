@@ -355,7 +355,11 @@ func TestProcessColor(t *testing.T) {
 		}
 	}
 	// β decided on luma matches a plain luma run.
-	plain, err := Process(img.Luma(), Options{DynamicRange: 150})
+	l := gray.New(img.W, img.H)
+	if err := img.LumaInto(l); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Process(l, Options{DynamicRange: 150})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,14 +359,14 @@ func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.M
 }
 
 // minRangeExact is chart.MinRangeExact plus the predicted distortion,
-// run on pooled scratch state: the smallest dynamic range in [2, 255]
-// whose measured linear range-reduction distortion on this image does
-// not exceed the budget, and that distortion — the last passing
-// probe's, measured anew only when none passed (R = 255). The bisection
-// is one serial chain of probes. scratch (img's geometry) is the probe
-// buffer; nil draws one from the engine pool. The zoned walk passes
-// each zone slot's persistent buffer so per-zone searches stop cycling
-// the pool between zone and frame geometries.
+// run on pooled scratch state: the same local crossing of the
+// non-monotone D(R) over [2, 255] (D(R) ≤ the budget, and R = 2 or
+// D(R−1) > the budget; R = 255 when no probe passes) and D(R), the last
+// passing probe's value, measured anew only when none passed. The
+// bisection is one serial chain of probes. scratch (img's geometry) is
+// the probe buffer; nil draws one from the engine pool. The zoned walk
+// passes each zone slot's persistent buffer so per-zone searches stop
+// cycling the pool between zone and frame geometries.
 func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
 	if scratch == nil {
 		scratch = e.getGray(img.W, img.H)
@@ -460,8 +460,8 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 
 // transformDistortion is chart.TransformDistortion evaluated through
 // the engine's pooled buffers and the plan's cached reconstruction
-// LUT: numerically identical (integer pixel remap + exact integral
-// images), allocation-free in steady state.
+// LUT: numerically identical (integer pixel remap + the exact
+// running-sum window walker), allocation-free in steady state.
 //
 //hebs:noalloc
 func (e *Engine) transformDistortion(img *gray.Image, plan *Plan, metric chart.Metric) (float64, error) {

@@ -323,6 +323,37 @@ func TestMinRangeExactMeasuresEachRangeOnce(t *testing.T) {
 	}
 }
 
+// TestMinRangeExactMatchesChart: on every suite image and budget the
+// engine's search returns chart.MinRangeExact's range — a local
+// crossing, which TestMinRangeExact in chart pins — and a predicted
+// distortion bit-identical to a fresh measurement at that range.
+func TestMinRangeExactMatchesChart(t *testing.T) {
+	suite, err := sipi.Suite(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{})
+	for _, ni := range suite {
+		for _, budget := range []float64{5, 10, 20} {
+			r, predicted, err := eng.minRangeExact(ni.Image, budget, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := chart.MinRangeExact(ni.Image, budget, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := chart.RangeReductionDistortion(ni.Image, r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != want || math.Float64bits(predicted) != math.Float64bits(fresh) {
+				t.Errorf("%s budget %v: (R=%d, D=%v), want chart's R=%d and D(R)=%v", ni.Name, budget, r, predicted, want, fresh)
+			}
+		}
+	}
+}
+
 // TestEngineSelectRange: the public step-1 entry point agrees with a
 // full Process at the same options and rejects invalid inputs.
 func TestEngineSelectRange(t *testing.T) {

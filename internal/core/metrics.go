@@ -77,7 +77,7 @@ var (
 	gZonedBetaSpread   = obs.NewGauge("core.zoned.beta_spread")
 	gZonedPowerAfter   = obs.NewGauge("core.zoned.power_after_w")
 
-	// Last-run operating point, for quick expvar inspection.
+	// Last-run operating point, for quick inspection.
 	gLastRange      = obs.NewGauge("core.last_range")
 	gLastBeta       = obs.NewGauge("core.last_beta")
 	gLastPredicted  = obs.NewGauge("core.last_predicted_distortion_pct")

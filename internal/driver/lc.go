@@ -10,7 +10,6 @@
 package driver
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -123,35 +122,4 @@ func (c Config) lcOf() LCModel {
 		return LinearLC{}
 	}
 	return c.LC
-}
-
-// ValidateLC sanity-checks a model's monotonicity and endpoint
-// normalization over a sampling grid — used when accepting custom
-// models from configuration.
-func ValidateLC(lc LCModel) error {
-	if lc == nil {
-		return errors.New("driver: nil LC model")
-	}
-	const n = 256
-	prev := -1.0
-	for i := 0; i <= n; i++ {
-		v := float64(i) / n
-		t := lc.Transmittance(v)
-		if t < prev-1e-9 {
-			return fmt.Errorf("driver: LC model %s not monotone at v=%v", lc.Name(), v)
-		}
-		if t < 0 || t > 1 {
-			return fmt.Errorf("driver: LC model %s out of range at v=%v", lc.Name(), v)
-		}
-		prev = t
-		// Round trip.
-		back := lc.Voltage(t)
-		if math.Abs(lc.Transmittance(back)-t) > 1e-6 {
-			return fmt.Errorf("driver: LC model %s inverse inconsistent at v=%v", lc.Name(), v)
-		}
-	}
-	if lc.Transmittance(0) > 1e-9 || lc.Transmittance(1) < 1-1e-9 {
-		return fmt.Errorf("driver: LC model %s endpoints not normalized", lc.Name())
-	}
-	return nil
 }

@@ -135,34 +135,6 @@ func SolveRangeCtx(ctx context.Context, h *histogram.Histogram, r int) (*Result,
 	return SolveRange(h, r)
 }
 
-// Residual measures how far the transformed histogram is from the
-// cumulative uniform target (the objective value of Eq. 4, normalized
-// by N to level units). Lower is better; 0 means perfectly uniform.
-func Residual(h *histogram.Histogram, res *Result) (float64, error) {
-	if h == nil || res == nil {
-		return 0, fmt.Errorf("equalize: nil input")
-	}
-	// Build the transformed histogram by pushing each bin through the LUT.
-	var tbins [transform.Levels]int
-	for v, c := range h.Bins {
-		tbins[res.LUT[v]] += c
-	}
-	th, err := histogram.FromBins(tbins)
-	if err != nil {
-		return 0, err
-	}
-	tcdfInt := th.CDF()
-	var tcdf [transform.Levels]float64
-	for v := range tcdfInt {
-		tcdf[v] = float64(tcdfInt[v])
-	}
-	u, err := histogram.Uniform(h.N, res.GMin, res.GMax)
-	if err != nil {
-		return 0, err
-	}
-	return histogram.L1CDFDistance(tcdf, u, h.N), nil
-}
-
 func quantize(y float64) uint8 {
 	v := int(y + 0.5)
 	if v < 0 {

@@ -210,43 +210,6 @@ func TestPointsShape(t *testing.T) {
 	}
 }
 
-func TestResidualLowForEqualized(t *testing.T) {
-	h := histogram.Of(noisy(11))
-	res, err := SolveRange(h, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid, err := Residual(h, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The CDF remap is the L1 minimizer; residual should be tiny in
-	// level units (quantization leftovers only).
-	if resid > 3 {
-		t.Errorf("equalized residual = %v levels, want < 3", resid)
-	}
-	// A deliberately bad transform must have a much larger residual.
-	bad := &Result{GMin: 0, GMax: 200}
-	var lut transform.LUT // everything to level 0
-	bad.LUT = &lut
-	badResid, err := Residual(h, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if badResid < 10*resid {
-		t.Errorf("degenerate transform residual %v not clearly worse than %v", badResid, resid)
-	}
-}
-
-func TestResidualErrors(t *testing.T) {
-	if _, err := Residual(nil, &Result{}); err == nil {
-		t.Error("nil histogram should error")
-	}
-	if _, err := Residual(histogram.Of(ramp()), nil); err == nil {
-		t.Error("nil result should error")
-	}
-}
-
 func TestSolvePropertyMonotoneAndInRange(t *testing.T) {
 	f := func(pix []byte, rRaw uint8) bool {
 		if len(pix) == 0 {
@@ -256,10 +219,7 @@ func TestSolvePropertyMonotoneAndInRange(t *testing.T) {
 		if r < 1 {
 			r = 1
 		}
-		m, err := gray.FromPix(len(pix), 1, pix)
-		if err != nil {
-			return false
-		}
+		m := &gray.Image{W: len(pix), H: 1, Pix: pix}
 		res, err := SolveRange(histogram.Of(m), r)
 		if err != nil {
 			return false

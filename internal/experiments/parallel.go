@@ -13,18 +13,12 @@ import (
 	"hebs/internal/sipi"
 )
 
-// forEachImage runs fn for every suite image concurrently, bounded by
-// the CPU count. fn receives the image index so callers can write into
-// pre-allocated result slots without synchronization. The first error
-// stops the fan-out (in-flight images finish) and is returned.
-func forEachImage(suite []sipi.NamedImage, fn func(i int, ni sipi.NamedImage) error) error {
-	return forEachImageCtx(context.Background(), suite, 0, fn)
-}
-
-// forEachImageCtx is forEachImage honoring cancellation (once ctx is
-// done no new images start, in-flight ones finish, and ctx's error is
-// reported if nothing failed first) with an explicit worker bound
-// (<= 0 selects all CPUs).
+// forEachImageCtx runs fn for every suite image concurrently, bounded
+// by workers (<= 0 selects all CPUs). fn receives the image index so
+// callers can write into pre-allocated result slots without
+// synchronization. The first error stops the fan-out (in-flight images
+// finish) and is returned; once ctx is done no new images start, and
+// ctx's error is reported if nothing failed first.
 func forEachImageCtx(ctx context.Context, suite []sipi.NamedImage, workers int, fn func(i int, ni sipi.NamedImage) error) error {
 	return parallel.ForEach(ctx, len(suite), workers, func(i int) error {
 		return fn(i, suite[i])

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ func TestForEachImageCoversAll(t *testing.T) {
 	}
 	var visited int64
 	seen := make([]int32, len(suite))
-	err = forEachImage(suite, func(i int, ni sipi.NamedImage) error {
+	err = forEachImageCtx(context.Background(), suite, 0, func(i int, ni sipi.NamedImage) error {
 		atomic.AddInt64(&visited, 1)
 		atomic.AddInt32(&seen[i], 1)
 		if ni.Name != suite[i].Name {
@@ -42,7 +43,7 @@ func TestForEachImagePropagatesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	err = forEachImage(suite, func(i int, ni sipi.NamedImage) error {
+	err = forEachImageCtx(context.Background(), suite, 0, func(i int, ni sipi.NamedImage) error {
 		if i == 7 {
 			return boom
 		}
@@ -54,7 +55,7 @@ func TestForEachImagePropagatesError(t *testing.T) {
 }
 
 func TestForEachImageEmptySuite(t *testing.T) {
-	if err := forEachImage(nil, func(i int, ni sipi.NamedImage) error {
+	if err := forEachImageCtx(context.Background(), nil, 0, func(i int, ni sipi.NamedImage) error {
 		t.Error("fn called on empty suite")
 		return nil
 	}); err != nil {

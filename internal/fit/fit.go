@@ -73,9 +73,6 @@ func (p Poly) Eval(x float64) float64 {
 	return v
 }
 
-// Degree returns the nominal degree (len-1); -1 for an empty polynomial.
-func (p Poly) Degree() int { return len(p) - 1 }
-
 // PolyFit fits a least-squares polynomial of the given degree to the
 // points (xs[i], ys[i]) via the normal equations. It requires at least
 // degree+1 points.
@@ -116,20 +113,6 @@ func PolyFit(xs, ys []float64, degree int) (Poly, error) {
 		return nil, err
 	}
 	return Poly(c), nil
-}
-
-// RMSE returns the root-mean-square residual of the polynomial against
-// the data points.
-func (p Poly) RMSE(xs, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range xs {
-		d := p.Eval(xs[i]) - ys[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // EnvelopeFit fits a polynomial of the given degree and then shifts its
@@ -268,46 +251,4 @@ func (p Poly) RSquared(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return 1 - ssRes/ssTot, nil
-}
-
-// Pearson returns the linear correlation coefficient of two samples.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("fit: x/y length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("fit: need at least two points")
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	n := float64(len(xs))
-	mx /= n
-	my /= n
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("fit: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// LineThrough returns slope and intercept of the line through (x1,y1)
-// and (x2,y2). It returns an error for a vertical line.
-func LineThrough(x1, y1, x2, y2 float64) (slope, intercept float64, err error) {
-	//hebslint:allow floateq exact guard against division by zero
-	if x1 == x2 {
-		return 0, 0, errors.New("fit: vertical line")
-	}
-	slope = (y2 - y1) / (x2 - x1)
-	intercept = y1 - slope*x1
-	return slope, intercept, nil
 }

@@ -33,17 +33,6 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// FromPix wraps an existing pixel slice. len(pix) must equal w*h.
-func FromPix(w, h int, pix []uint8) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("gray: non-positive dimensions %dx%d", w, h)
-	}
-	if len(pix) != w*h {
-		return nil, fmt.Errorf("gray: pixel buffer has %d bytes, want %d", len(pix), w*h)
-	}
-	return &Image{W: w, H: h, Pix: pix}, nil
-}
-
 // At returns the pixel at (x, y). Out-of-bounds access panics, matching
 // slice semantics.
 func (m *Image) At(x, y int) uint8 {
@@ -151,16 +140,6 @@ func (m *Image) Statistics() Stats {
 	return st
 }
 
-// MeanNormalized returns the mean pixel value scaled to [0,1], the
-// quantity x-bar that feeds the TFT panel power model of Eq. 12.
-func (m *Image) MeanNormalized() float64 {
-	sum := 0.0
-	for _, p := range m.Pix {
-		sum += float64(p)
-	}
-	return sum / float64(len(m.Pix)) / 255.0
-}
-
 // FromStdImage converts any image.Image to a grayscale Image using the
 // standard library's gray conversion (Rec. 601 luma).
 func FromStdImage(src image.Image) *Image {
@@ -180,24 +159,6 @@ func (m *Image) ToStdImage() *image.Gray {
 	out := image.NewGray(m.Bounds())
 	for y := 0; y < m.H; y++ {
 		copy(out.Pix[y*out.Stride:y*out.Stride+m.W], m.Pix[y*m.W:(y+1)*m.W])
-	}
-	return out
-}
-
-// Normalized returns the image as float64 values in [0,1], row-major.
-func (m *Image) Normalized() []float64 {
-	out := make([]float64, len(m.Pix))
-	for i, p := range m.Pix {
-		out[i] = float64(p) / 255.0
-	}
-	return out
-}
-
-// Map applies f to every pixel and returns a new image.
-func (m *Image) Map(f func(uint8) uint8) *Image {
-	out := New(m.W, m.H)
-	for i, p := range m.Pix {
-		out.Pix[i] = f(p)
 	}
 	return out
 }

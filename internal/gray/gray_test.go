@@ -57,23 +57,6 @@ func TestAtSetBoundsPanic(t *testing.T) {
 	}
 }
 
-func TestFromPix(t *testing.T) {
-	pix := []uint8{1, 2, 3, 4, 5, 6}
-	m, err := FromPix(3, 2, pix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(2, 1) != 6 {
-		t.Errorf("At(2,1) = %d, want 6", m.At(2, 1))
-	}
-	if _, err := FromPix(3, 2, pix[:5]); err == nil {
-		t.Error("short buffer should error")
-	}
-	if _, err := FromPix(0, 2, nil); err == nil {
-		t.Error("zero width should error")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := New(2, 2)
 	m.Set(0, 0, 10)
@@ -177,18 +160,6 @@ func TestStatisticsRamp(t *testing.T) {
 	}
 }
 
-func TestMeanNormalized(t *testing.T) {
-	m := New(2, 2)
-	m.Fill(255)
-	if v := m.MeanNormalized(); math.Abs(v-1) > 1e-12 {
-		t.Errorf("MeanNormalized = %v, want 1", v)
-	}
-	m.Fill(0)
-	if v := m.MeanNormalized(); v != 0 {
-		t.Errorf("MeanNormalized = %v, want 0", v)
-	}
-}
-
 func TestStdImageRoundTrip(t *testing.T) {
 	m := New(5, 4)
 	for i := range m.Pix {
@@ -226,38 +197,13 @@ func TestFromStdImageOffsetBounds(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	m := New(1, 2)
-	m.Pix[0] = 0
-	m.Pix[1] = 255
-	n := m.Normalized()
-	if n[0] != 0 || n[1] != 1 {
-		t.Errorf("Normalized = %v, want [0 1]", n)
-	}
-}
-
-func TestMap(t *testing.T) {
-	m := New(2, 1)
-	m.Pix[0], m.Pix[1] = 10, 20
-	inv := m.Map(func(v uint8) uint8 { return 255 - v })
-	if inv.Pix[0] != 245 || inv.Pix[1] != 235 {
-		t.Errorf("Map result %v", inv.Pix)
-	}
-	if m.Pix[0] != 10 {
-		t.Error("Map mutated the source")
-	}
-}
-
 func TestStatisticsPropertyBounds(t *testing.T) {
 	f := func(seedPix []byte) bool {
 		if len(seedPix) == 0 {
 			seedPix = []byte{0}
 		}
 		w := len(seedPix)
-		m, err := FromPix(w, 1, seedPix)
-		if err != nil {
-			return false
-		}
+		m := &Image{W: w, H: 1, Pix: seedPix}
 		st := m.Statistics()
 		return st.Min <= st.Max &&
 			float64(st.Min) <= st.Mean && st.Mean <= float64(st.Max) &&

@@ -101,12 +101,6 @@ func (d *FrameDelta) Matches(w, h, tileSize int) bool {
 	return d.w == w && d.h == h && d.tile == tileSize
 }
 
-// Primed reports whether a reference frame has been observed.
-func (d *FrameDelta) Primed() bool { return d.primed }
-
-// Tiles returns the tile count of the configured geometry.
-func (d *FrameDelta) Tiles() int { return d.tilesX * d.tilesY }
-
 // tileRect returns the pixel bounds of tile t.
 func (d *FrameDelta) tileRect(t int) (x0, y0, x1, y1 int) {
 	tx, ty := t%d.tilesX, t/d.tilesX

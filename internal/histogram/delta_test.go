@@ -52,9 +52,9 @@ func TestDeltaMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if changed != total || total != d.Tiles() {
+		if changed != total || total != d.tilesX*d.tilesY {
 			t.Fatalf("%dx%d tile %d: priming update re-binned %d/%d tiles, want all %d",
-				g.w, g.h, g.tile, changed, total, d.Tiles())
+				g.w, g.h, g.tile, changed, total, d.tilesX*d.tilesY)
 		}
 		if want := Of(img); got != *want {
 			t.Fatalf("%dx%d tile %d: primed histogram differs from scratch scan", g.w, g.h, g.tile)
@@ -117,7 +117,7 @@ func TestDeltaConfigureReuse(t *testing.T) {
 	if err := d.Configure(96, 64, 16); err != nil {
 		t.Fatal(err)
 	}
-	if d.Primed() {
+	if d.primed {
 		t.Fatal("Configure left the state primed")
 	}
 	img := randomImage(96, 64, 4)

@@ -8,7 +8,6 @@ package histogram
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"hebs/internal/gray"
 )
@@ -80,16 +79,6 @@ func (h *Histogram) CDF() [Levels]int {
 		c[v] = run
 	}
 	return c
-}
-
-// NormalizedCDF returns H(v)/N in [0,1].
-func (h *Histogram) NormalizedCDF() [Levels]float64 {
-	cdf := h.CDF()
-	var out [Levels]float64
-	for v := 0; v < Levels; v++ {
-		out[v] = float64(cdf[v]) / float64(h.N)
-	}
-	return out
 }
 
 // MinLevel returns the smallest populated grayscale level.
@@ -172,40 +161,4 @@ func L1CDFDistance(a, b [Levels]float64, n int) float64 {
 		sum += d
 	}
 	return sum / float64(n)
-}
-
-// Flatness measures how close the histogram is to uniform over its
-// populated range: 1 means perfectly uniform, 0 means all mass in one
-// bin. Used in tests to verify that GHE actually flattens histograms.
-func (h *Histogram) Flatness() float64 {
-	lo, hi := h.MinLevel(), h.MaxLevel()
-	width := hi - lo + 1
-	if width <= 1 {
-		return 0
-	}
-	ideal := float64(h.N) / float64(width)
-	dev := 0.0
-	for v := lo; v <= hi; v++ {
-		d := float64(h.Bins[v]) - ideal
-		if d < 0 {
-			d = -d
-		}
-		dev += d
-	}
-	// dev is at most 2N(1 - 1/width); normalize to [0,1] and invert.
-	maxDev := 2 * float64(h.N) * (1 - 1/float64(width))
-	return 1 - dev/maxDev
-}
-
-// Entropy returns the Shannon entropy of the pixel distribution in bits.
-func (h *Histogram) Entropy() float64 {
-	e := 0.0
-	for _, c := range h.Bins {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(h.N)
-		e -= p * math.Log2(p)
-	}
-	return e
 }

@@ -3,7 +3,6 @@ package histogram
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"hebs/internal/gray"
 )
@@ -60,17 +59,6 @@ func TestCDFMonotoneAndTotal(t *testing.T) {
 	}
 	if cdf[Levels-1] != h.N {
 		t.Errorf("CDF[255] = %d, want N=%d", cdf[Levels-1], h.N)
-	}
-}
-
-func TestNormalizedCDF(t *testing.T) {
-	h := Of(ramp())
-	n := h.NormalizedCDF()
-	if n[Levels-1] != 1 {
-		t.Errorf("normalized CDF end = %v, want 1", n[Levels-1])
-	}
-	if math.Abs(n[127]-128.0/256.0) > 1e-12 {
-		t.Errorf("normalized CDF mid = %v", n[127])
 	}
 }
 
@@ -145,60 +133,5 @@ func TestL1CDFDistance(t *testing.T) {
 	}
 	if d := L1CDFDistance(a, c, 0); d != 0 {
 		t.Errorf("n=0 distance = %v, want 0", d)
-	}
-}
-
-func TestFlatness(t *testing.T) {
-	// Uniform ramp is perfectly flat.
-	if f := Of(ramp()).Flatness(); math.Abs(f-1) > 1e-9 {
-		t.Errorf("ramp flatness = %v, want 1", f)
-	}
-	// Constant image has width 1 -> flatness 0 by definition.
-	m := gray.New(4, 1)
-	m.Fill(7)
-	if f := Of(m).Flatness(); f != 0 {
-		t.Errorf("constant flatness = %v, want 0", f)
-	}
-	// Two spikes at the ends of a wide range: very unflat.
-	m2 := gray.New(100, 1)
-	for i := range m2.Pix {
-		if i%2 == 0 {
-			m2.Pix[i] = 0
-		} else {
-			m2.Pix[i] = 255
-		}
-	}
-	if f := Of(m2).Flatness(); f > 0.1 {
-		t.Errorf("bimodal flatness = %v, want near 0", f)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	// Constant image: zero entropy.
-	m := gray.New(4, 1)
-	m.Fill(9)
-	if e := Of(m).Entropy(); e != 0 {
-		t.Errorf("constant entropy = %v, want 0", e)
-	}
-	// Full uniform ramp: 8 bits.
-	if e := Of(ramp()).Entropy(); math.Abs(e-8) > 1e-9 {
-		t.Errorf("ramp entropy = %v, want 8", e)
-	}
-}
-
-func TestEntropyUpperBoundProperty(t *testing.T) {
-	f := func(pix []byte) bool {
-		if len(pix) == 0 {
-			return true
-		}
-		m, err := gray.FromPix(len(pix), 1, pix)
-		if err != nil {
-			return false
-		}
-		e := Of(m).Entropy()
-		return e >= 0 && e <= 8+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hebs/internal/gray"
 	"hebs/internal/rgb"
 )
 
@@ -145,7 +146,11 @@ func TestLoadColorOfGrayFileIsNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Luma().Equal(g) {
+	l := gray.New(m.W, m.H)
+	if err := m.LumaInto(l); err != nil {
+		t.Fatal(err)
+	}
+	if !l.Equal(g) {
 		t.Error("gray file loaded in color should have identical luma")
 	}
 }

@@ -186,30 +186,6 @@ func EncodePGM(w io.Writer, img *gray.Image) error {
 	return bw.Flush()
 }
 
-// EncodePGMASCII writes the image as ASCII PGM (P2), useful for
-// eyeballing small images in tests and docs.
-func EncodePGMASCII(w io.Writer, img *gray.Image) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P2\n%d %d\n255\n", img.W, img.H); err != nil {
-		return err
-	}
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			sep := " "
-			if x == 0 {
-				sep = ""
-			}
-			if _, err := fmt.Fprintf(bw, "%s%d", sep, img.At(x, y)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // EncodePNG writes the image as an 8-bit grayscale PNG.
 func EncodePNG(w io.Writer, img *gray.Image) error {
 	return png.Encode(w, img.ToStdImage())

@@ -120,9 +120,6 @@ func (d *Display) LoadProgram(prog *driver.Program) error {
 // LoadProgram (1 at power-up).
 func (d *Display) Beta() float64 { return d.program.Beta }
 
-// FrameBuffer returns a snapshot of the current frame-buffer contents.
-func (d *Display) FrameBuffer() *gray.Image { return d.frameBuffer.Clone() }
-
 // Frame is the result of displaying one frame for one refresh period.
 type Frame struct {
 	// Luminance is the perceived image: β · t(code), scaled to 8 bits.
@@ -154,11 +151,6 @@ func (d *Display) ShowFrame(img *gray.Image) (*Frame, error) {
 	d.busBytes += int64(len(img.Pix))
 	return d.refresh()
 }
-
-// Refresh re-energizes the panel with the current frame-buffer content
-// for one more refresh period (the LCD must be continuously refreshed;
-// this is why the subsystem cannot be power-gated, Section 1).
-func (d *Display) Refresh() (*Frame, error) { return d.refresh() }
 
 func (d *Display) refresh() (*Frame, error) {
 	lut, err := d.program.DisplayedLUT()

@@ -129,51 +129,6 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
-func TestRefreshKeepsFrameBufferAndSpendsEnergy(t *testing.T) {
-	d, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := frame(t)
-	if _, err := d.ShowFrame(img); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Stats()
-	f, err := d.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := d.Stats()
-	if after.Frames != before.Frames+1 {
-		t.Error("refresh did not count a frame")
-	}
-	if after.BusBytes != before.BusBytes {
-		t.Error("refresh must not move bus traffic")
-	}
-	if f.Energy <= 0 {
-		t.Error("refresh consumed no energy")
-	}
-	if !d.FrameBuffer().Equal(img) {
-		t.Error("frame buffer content changed on refresh")
-	}
-}
-
-func TestFrameBufferSnapshotIsolated(t *testing.T) {
-	d, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := frame(t)
-	if _, err := d.ShowFrame(img); err != nil {
-		t.Fatal(err)
-	}
-	snap := d.FrameBuffer()
-	snap.Fill(0)
-	if !d.FrameBuffer().Equal(img) {
-		t.Error("FrameBuffer snapshot aliases internal storage")
-	}
-}
-
 func TestHEBSProgramSavesEnergy(t *testing.T) {
 	img := frame(t)
 	res, err := core.Process(img, core.Options{DynamicRange: 120, Driver: &driver.DefaultConfig})
@@ -394,26 +349,6 @@ func BenchmarkShowFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.ShowFrame(img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRefresh(b *testing.B) {
-	d, err := New(smallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	img, err := sipi.Generate("lena", 64, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := d.ShowFrame(img); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Refresh(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -79,9 +79,6 @@ func AddCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	return c
 }
 
-// TracingRequested reports whether -trace-out was given.
-func (c *CLIFlags) TracingRequested() bool { return *c.traceOut != "" }
-
 // Collector returns the span collector, installing one as the global
 // sink on first use — commands that render span timelines (hebsvideo)
 // call this to force collection even without -trace-out.
@@ -156,10 +153,6 @@ func (c *CLIFlags) Start() error {
 	}
 	return nil
 }
-
-// Telemetry returns the running telemetry server, or nil when
-// -telemetry was not given (valid between Start and Stop).
-func (c *CLIFlags) Telemetry() *Server { return c.server }
 
 // SLO returns the SLO tracker behind /debug/slo, or nil when
 // -telemetry was not given — harnesses call Check on it to gate

@@ -26,13 +26,13 @@ func TestCLIFlagsArtifacts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.TracingRequested() {
-		t.Error("TracingRequested false with -trace-out set")
+	if *c.traceOut == "" {
+		t.Error("-trace-out not recorded")
 	}
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if !TracingEnabled() {
+	if sink.Load() == nil {
 		t.Error("Start did not install a span sink")
 	}
 	sp := StartSpan("work")
@@ -42,7 +42,7 @@ func TestCLIFlagsArtifacts(t *testing.T) {
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if TracingEnabled() {
+	if sink.Load() != nil {
 		t.Error("Stop did not restore the nil sink")
 	}
 
@@ -107,15 +107,15 @@ func TestCLIFlagsTelemetryLifecycle(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	srv := c.Telemetry()
+	srv := c.server
 	if srv == nil {
-		t.Fatal("Telemetry() nil after Start with -telemetry")
+		t.Fatal("no telemetry server after Start with -telemetry")
 	}
 	if Flight() != c.Flight() || c.Flight() == nil {
 		t.Fatal("Start did not install the flight recorder globally")
 	}
-	if c.Flight().Size() != 4 {
-		t.Errorf("-flight-size ignored: ring size %d", c.Flight().Size())
+	if len(c.Flight().slots) != 4 {
+		t.Errorf("-flight-size ignored: ring size %d", len(c.Flight().slots))
 	}
 	budgets := c.SLO().Budgets()
 	if len(budgets) != 1 || budgets[0].Metric != "video.frame.seconds" || budgets[0].Quantile != 0.99 {
@@ -152,7 +152,7 @@ func TestCLIFlagsTelemetryLifecycle(t *testing.T) {
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Telemetry() != nil || c.SLO() != nil || c.Flight() != nil {
+	if c.server != nil || c.SLO() != nil || c.Flight() != nil {
 		t.Error("Stop did not clear the telemetry handles")
 	}
 	if Flight() != nil {
@@ -183,7 +183,7 @@ func TestCLIFlagsFlightOutWithoutTelemetry(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Telemetry() != nil {
+	if c.server != nil {
 		t.Error("server started without -telemetry")
 	}
 	if Flight() == nil {

@@ -78,9 +78,6 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	return &FlightRecorder{slots: make([]atomic.Pointer[FrameRecord], size)}
 }
 
-// Size returns the ring capacity.
-func (f *FlightRecorder) Size() int { return len(f.slots) }
-
 // Record appends one frame record, evicting the oldest when full.
 //
 //hebs:noalloc
@@ -89,10 +86,6 @@ func (f *FlightRecorder) Record(rec FrameRecord) {
 	i := f.idx.Add(1) - 1
 	f.slots[i%uint64(len(f.slots))].Store(&rec)
 }
-
-// Recorded returns the total number of records ever fed (not capped
-// at the ring size).
-func (f *FlightRecorder) Recorded() uint64 { return f.idx.Load() }
 
 // Snapshot returns the retained records, oldest first. Under
 // concurrent Record calls a slot mid-overwrite yields either its old

@@ -30,15 +30,15 @@ func noallocSuspects(t *testing.T) string {
 func TestFlightRecorderWraparound(t *testing.T) {
 	for _, size := range []int{1, 4, 7} {
 		f := NewFlightRecorder(size)
-		if f.Size() != size {
-			t.Fatalf("Size = %d, want %d", f.Size(), size)
+		if len(f.slots) != size {
+			t.Fatalf("ring holds %d slots, want %d", len(f.slots), size)
 		}
 		const total = 23
 		for i := 0; i < total; i++ {
 			f.Record(FrameRecord{Frame: i, Beta: float64(i) / total})
 		}
-		if got := f.Recorded(); got != total {
-			t.Errorf("size %d: Recorded = %d, want %d", size, got, total)
+		if got := f.idx.Load(); got != total {
+			t.Errorf("size %d: %d records fed, want %d", size, got, total)
 		}
 		recs := f.Snapshot()
 		if len(recs) != size {
@@ -97,8 +97,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := f.Recorded(); got != writers*per {
-		t.Errorf("Recorded = %d, want %d", got, writers*per)
+	if got := f.idx.Load(); got != writers*per {
+		t.Errorf("%d records fed, want %d", got, writers*per)
 	}
 }
 

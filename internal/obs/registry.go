@@ -1,14 +1,13 @@
 // The metrics registry: counters, gauges and fixed-bucket histograms
-// with get-or-create registration, an expvar-compatible export and a
-// JSON snapshot (-metrics-out). All instruments are safe for concurrent
-// use and cheap enough to record unconditionally — a counter Add is one
-// atomic add; a histogram Observe is a binary search plus two atomic
-// adds — so metrics stay on even when tracing is disabled.
+// with get-or-create registration and a JSON snapshot (-metrics-out).
+// All instruments are safe for concurrent use and cheap enough to
+// record unconditionally — a counter Add is one atomic add; a histogram
+// Observe is a binary search plus two atomic adds — so metrics stay on
+// even when tracing is disabled.
 package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"math"
 	"sort"
@@ -323,17 +322,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar exposes the default registry on the standard expvar
-// page as "hebs_metrics" (idempotent; expvar allows one publication
-// per name per process).
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("hebs_metrics", expvar.Func(func() any {
-			return Default().Snapshot()
-		}))
-	})
 }

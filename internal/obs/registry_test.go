@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -182,18 +181,5 @@ func TestSnapshotGoldenJSON(t *testing.T) {
 }`)
 	if got != golden {
 		t.Errorf("snapshot JSON drifted from golden shape.\ngot:\n%s\nwant:\n%s", got, golden)
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	PublishExpvar()
-	PublishExpvar() // second call must not panic on duplicate name
-	NewCounter("obs_test.published").Inc()
-	s := Default().Snapshot()
-	if s.Counters["obs_test.published"] < 1 {
-		t.Error("default registry snapshot missing published counter")
-	}
-	if _, err := json.Marshal(s); err != nil {
-		t.Errorf("default snapshot not JSON-serializable: %v", err)
 	}
 }

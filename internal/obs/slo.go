@@ -43,9 +43,6 @@ func NewWindow(size int) *Window {
 	return &Window{slots: make([]atomic.Uint64, size)}
 }
 
-// Size returns the window capacity.
-func (w *Window) Size() int { return len(w.slots) }
-
 // Observe records one value, evicting the oldest when full.
 //
 //hebs:noalloc

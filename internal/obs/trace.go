@@ -66,9 +66,6 @@ func SetSink(s Sink) Sink {
 	return prev.s
 }
 
-// TracingEnabled reports whether a sink is installed.
-func TracingEnabled() bool { return sink.Load() != nil }
-
 // Span is an in-flight timed operation. A nil *Span is valid and all
 // its methods are no-ops, which is what StartSpan returns when tracing
 // is disabled.

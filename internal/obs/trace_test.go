@@ -21,7 +21,7 @@ func withCollector(t *testing.T) *Collector {
 func TestDisabledSinkNoop(t *testing.T) {
 	prev := SetSink(nil)
 	defer SetSink(prev)
-	if TracingEnabled() {
+	if sink.Load() != nil {
 		t.Fatal("tracing reported enabled with nil sink")
 	}
 	sp := StartSpan("root")

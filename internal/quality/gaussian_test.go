@@ -58,13 +58,13 @@ func TestSSIMGaussianIdentical(t *testing.T) {
 
 func TestSSIMGaussianOrdering(t *testing.T) {
 	a := noisy(64, 64, 42)
-	mild := a.Map(func(p uint8) uint8 {
+	mild := mapPix(a, func(p uint8) uint8 {
 		if p < 250 {
 			return p + 5
 		}
 		return p
 	})
-	harsh := a.Map(func(p uint8) uint8 { return p / 3 })
+	harsh := mapPix(a, func(p uint8) uint8 { return p / 3 })
 	sm, err := SSIMGaussian(a, mild)
 	if err != nil {
 		t.Fatal(err)

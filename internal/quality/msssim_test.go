@@ -101,7 +101,7 @@ func TestMSSSIMMetricScale(t *testing.T) {
 	if d > 1e-3 {
 		t.Errorf("MSSSIM distortion(self) = %v, want ~0", d)
 	}
-	inv := m.Map(func(p uint8) uint8 { return 255 - p })
+	inv := mapPix(m, func(p uint8) uint8 { return 255 - p })
 	d, err = MSSSIMMetric(m, inv)
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +121,8 @@ func TestMSSSIMSensitiveToCoarseScaleBanding(t *testing.T) {
 			g.Set(x, y, uint8(64+x/2+y/4))
 		}
 	}
-	coarse := g.Map(func(p uint8) uint8 { return (p / 24) * 24 })
-	fine := g.Map(func(p uint8) uint8 { return (p / 6) * 6 })
+	coarse := mapPix(g, func(p uint8) uint8 { return (p / 24) * 24 })
+	fine := mapPix(g, func(p uint8) uint8 { return (p / 6) * 6 })
 	dc, err := MSSSIMMetric(g, coarse)
 	if err != nil {
 		t.Fatal(err)

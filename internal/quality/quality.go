@@ -1,15 +1,11 @@
 // Package quality implements the image-distortion measures used in the
-// paper and its baselines:
+// paper:
 //
 //   - the Universal Image Quality Index (UQI) of Wang & Bovik (ref. [8]
 //     of the paper), the measure HEBS adopts because it combines pixel
 //     differences with luminance/contrast/structure terms modeling the
 //     human visual system;
-//   - SSIM (ref. [6]), evaluated as the paper's stated future work;
-//   - plain MSE / PSNR for calibration;
-//   - the saturated-pixel percentage used by DLS [4]; and
-//   - the in-band pixel-preservation ("contrast fidelity") measure of
-//     CBCS [5].
+//   - SSIM (ref. [6]), evaluated as the paper's stated future work.
 //
 // Distortion values are reported on the paper's percentage scale:
 // D = (1 − Q) × 100 for the indices Q in [−1, 1].
@@ -18,7 +14,6 @@ package quality
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"hebs/internal/gray"
@@ -42,33 +37,6 @@ func checkPair(a, b *gray.Image) error {
 		return fmt.Errorf("%w: %dx%d vs %dx%d", ErrShapeMismatch, a.W, a.H, b.W, b.H)
 	}
 	return nil
-}
-
-// MSE returns the mean squared error between two images in squared
-// 8-bit level units.
-func MSE(a, b *gray.Image) (float64, error) {
-	if err := checkPair(a, b); err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		s += d * d
-	}
-	return s / float64(len(a.Pix)), nil
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB. Identical images
-// yield +Inf.
-func PSNR(a, b *gray.Image) (float64, error) {
-	mse, err := MSE(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255.0*255.0/mse), nil
 }
 
 // uqiWindow computes the Q index of one window from its means,
@@ -329,36 +297,4 @@ func UQIDistortion(a, b *gray.Image) (float64, error) {
 		return 0, err
 	}
 	return DistortionPercent(q), nil
-}
-
-// SaturatedPercent returns the percentage of pixels lying outside the
-// band [lo, hi] — the image-distortion measure of DLS [4] (pixels that
-// saturate after brightness/contrast compensation) and the truncation
-// loss of CBCS [5].
-func SaturatedPercent(img *gray.Image, lo, hi uint8) (float64, error) {
-	if img == nil {
-		return 0, errors.New("quality: nil image")
-	}
-	if lo > hi {
-		return 0, fmt.Errorf("quality: inverted band [%d,%d]", lo, hi)
-	}
-	out := 0
-	for _, p := range img.Pix {
-		if p < lo || p > hi {
-			out++
-		}
-	}
-	return 100 * float64(out) / float64(len(img.Pix)), nil
-}
-
-// ContrastFidelity returns the fraction (0..1) of pixels whose value is
-// preserved under an affine in-band transform with band [lo, hi]: the
-// contrast-fidelity measure of CBCS [5]. Pixels outside the band are
-// clamped and hence lose their contrast relationships.
-func ContrastFidelity(img *gray.Image, lo, hi uint8) (float64, error) {
-	sat, err := SaturatedPercent(img, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - sat/100, nil
 }

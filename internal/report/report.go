@@ -38,9 +38,6 @@ func (t *Table) MustAddRow(cells ...string) {
 	}
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Columns returns a copy of the header cells — the machine-readable
 // export path (hebsbench -json) reads tables through this and Rows.
 func (t *Table) Columns() []string {

@@ -30,8 +30,8 @@ func TestTableText(t *testing.T) {
 	if len(lines[2]) != len(lines[3]) {
 		t.Errorf("rows not aligned:\n%q\n%q", lines[2], lines[3])
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d, want 2", len(tb.rows))
 	}
 }
 

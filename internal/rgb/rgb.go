@@ -70,19 +70,6 @@ func (m *Image) Equal(o *Image) bool {
 	return true
 }
 
-// Luma extracts the Rec. 601 luma plane — the grayscale field the HEBS
-// statistics (histogram, admissible range, β) are computed on.
-func (m *Image) Luma() *gray.Image {
-	out := gray.New(m.W, m.H)
-	for p := 0; p < m.W*m.H; p++ {
-		r := int(m.Pix[3*p])
-		g := int(m.Pix[3*p+1])
-		b := int(m.Pix[3*p+2])
-		out.Pix[p] = uint8((299*r + 587*g + 114*b + 500) / 1000)
-	}
-	return out
-}
-
 // ApplyLUT drives all three channels through the same transfer
 // function — exactly what the shared source-driver ladder does in
 // hardware.
@@ -110,8 +97,10 @@ func (m *Image) ApplyLUTInto(lut *transform.LUT, dst *Image) error {
 	return nil
 }
 
-// LumaInto is Luma writing into a caller-provided (typically pooled)
-// grayscale destination of the same geometry.
+// LumaInto writes the Rec. 601 luma plane — the grayscale field the
+// HEBS statistics (histogram, admissible range, β) are computed on —
+// into a caller-provided (typically pooled) destination of the same
+// geometry.
 func (m *Image) LumaInto(dst *gray.Image) error {
 	if dst == nil {
 		return errors.New("rgb: LumaInto with nil destination")

@@ -57,12 +57,22 @@ func TestCloneEqual(t *testing.T) {
 	}
 }
 
+// luma returns m's luma plane through LumaInto.
+func luma(t *testing.T, m *Image) *gray.Image {
+	t.Helper()
+	out := gray.New(m.W, m.H)
+	if err := m.LumaInto(out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestLumaWeights(t *testing.T) {
 	m := New(3, 1)
 	m.Set(0, 0, 255, 0, 0)
 	m.Set(1, 0, 0, 255, 0)
 	m.Set(2, 0, 0, 0, 255)
-	l := m.Luma()
+	l := luma(t, m)
 	if l.At(0, 0) != 76 { // 0.299*255
 		t.Errorf("red luma = %d, want 76", l.At(0, 0))
 	}
@@ -79,7 +89,7 @@ func TestLumaMatchesGrayConversion(t *testing.T) {
 	f := func(v uint8) bool {
 		m := New(1, 1)
 		m.Set(0, 0, v, v, v)
-		return m.Luma().At(0, 0) == v
+		return luma(t, m).At(0, 0) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -156,13 +166,13 @@ func TestFromGray(t *testing.T) {
 	if r != 200 || gg != 200 || b != 200 {
 		t.Errorf("FromGray pixel = %d,%d,%d", r, gg, b)
 	}
-	if !m.Luma().Equal(g) {
+	if !luma(t, m).Equal(g) {
 		t.Error("FromGray luma should round trip")
 	}
 }
 
 func TestApplyLUTIntoErrors(t *testing.T) {
-	lut := transform.Identity()
+	lut := new(transform.LUT)
 	src := New(64, 64)
 	if err := src.ApplyLUTInto(lut, nil); err == nil {
 		t.Fatal("nil destination accepted")

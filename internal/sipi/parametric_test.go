@@ -101,8 +101,8 @@ func TestTextureSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := histogram.Of(img)
-	if h.Entropy() < 5 {
-		t.Errorf("broadband texture entropy %v too low", h.Entropy())
+	if entropy(h) < 5 {
+		t.Errorf("broadband texture entropy %v too low", entropy(h))
 	}
 	for _, spec := range []TextureSpec{
 		{Octaves: 0, Lo: 0.1, Hi: 0.9},

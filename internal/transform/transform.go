@@ -115,15 +115,6 @@ func FromFunc(f func(x float64) float64) *LUT {
 	return &out
 }
 
-// Identity returns the identity transformation Φ(x) = x (Figure 2a).
-func Identity() *LUT {
-	var out LUT
-	for i := 0; i < Levels; i++ {
-		out[i] = uint8(i)
-	}
-	return &out
-}
-
 // checkBeta validates a backlight scaling factor 0 < β <= 1.
 func checkBeta(beta float64) error {
 	if !(beta > 0 && beta <= 1) {

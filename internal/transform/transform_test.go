@@ -8,11 +8,15 @@ import (
 	"hebs/internal/gray"
 )
 
+// identity returns Φ(x) = x (Figure 2a).
+func identity() *LUT { return FromFunc(func(x float64) float64 { return x }) }
+
 func TestIdentity(t *testing.T) {
-	id := Identity()
+	// FromFunc rounds the identity curve onto every level exactly.
+	id := identity()
 	for i := 0; i < Levels; i++ {
 		if id[i] != uint8(i) {
-			t.Fatalf("Identity[%d] = %d", i, id[i])
+			t.Fatalf("identity[%d] = %d", i, id[i])
 		}
 	}
 	if !id.IsMonotone() {
@@ -26,7 +30,7 @@ func TestIdentity(t *testing.T) {
 func TestApply(t *testing.T) {
 	m := gray.New(2, 1)
 	m.Pix = []uint8{10, 200}
-	lut := Identity()
+	lut := identity()
 	lut[10] = 99
 	out := lut.Apply(m)
 	if out.Pix[0] != 99 || out.Pix[1] != 200 {
@@ -63,7 +67,7 @@ func TestBrightnessShiftIdentityAtBeta1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *lut != *Identity() {
+	if *lut != *identity() {
 		t.Error("β=1 brightness shift should be identity")
 	}
 }
@@ -134,7 +138,7 @@ func TestPiecewiseLinearRamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *lut != *Identity() {
+	if *lut != *identity() {
 		t.Error("two-point ramp should equal identity")
 	}
 }
@@ -209,7 +213,7 @@ func TestBreakpointsRoundTrip(t *testing.T) {
 }
 
 func TestBreakpointsOfIdentityMinimal(t *testing.T) {
-	pts := Identity().Breakpoints()
+	pts := identity().Breakpoints()
 	if len(pts) != 2 {
 		t.Errorf("identity should have 2 breakpoints, got %d", len(pts))
 	}
@@ -217,7 +221,7 @@ func TestBreakpointsOfIdentityMinimal(t *testing.T) {
 
 func TestCompose(t *testing.T) {
 	a, _ := ContrastScale(0.5)
-	id := Identity()
+	id := identity()
 	if *a.Compose(id) != *a {
 		t.Error("compose with identity should be unchanged")
 	}
@@ -255,7 +259,7 @@ func TestScaleToRangeErrors(t *testing.T) {
 }
 
 func TestMSE(t *testing.T) {
-	id := Identity()
+	id := identity()
 	if id.MSE(id) != 0 {
 		t.Error("MSE to self must be 0")
 	}
@@ -308,24 +312,24 @@ func TestMonotonePreservedUnderApplication(t *testing.T) {
 }
 
 func TestPseudoInverseOfIdentity(t *testing.T) {
-	inv, err := Identity().PseudoInverse()
+	inv, err := identity().PseudoInverse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *inv != *Identity() {
+	if *inv != *identity() {
 		t.Error("pseudo-inverse of identity should be identity")
 	}
-	recon, err := Identity().Reconstruction()
+	recon, err := identity().Reconstruction()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *recon != *Identity() {
+	if *recon != *identity() {
 		t.Error("reconstruction through identity should be identity")
 	}
 }
 
 func TestPseudoInverseRequiresMonotone(t *testing.T) {
-	bad := Identity()
+	bad := identity()
 	bad[100] = 5
 	if _, err := bad.PseudoInverse(); err == nil {
 		t.Error("non-monotone LUT should error")
@@ -463,7 +467,7 @@ func TestBreakpointsAlwaysValidProperty(t *testing.T) {
 }
 
 func TestApplyIntoErrors(t *testing.T) {
-	lut := Identity()
+	lut := identity()
 	src := gray.New(64, 64)
 	if err := lut.ApplyInto(src, nil); err == nil {
 		t.Fatal("nil destination accepted")

@@ -70,7 +70,7 @@ type frameState struct {
 	slew       bool
 	cut        bool
 	// Delta-analysis state (DeltaAnalysis only): identical marks a frame
-	// whose pixels are checksum-equal to its predecessor's (the pooled
+	// whose pixels are byte-identical to its predecessor's (the pooled
 	// reference for frame 0), replay marks one that resolves its range
 	// from the own-range memo instead of searching, tileRatio is
 	// changed/total tiles, and fused frames copy their measurements from
