@@ -47,6 +47,7 @@ FUZZ_TARGETS := \
 	FuzzCoarsen:./internal/plc \
 	FuzzDetectCuts:./internal/video \
 	FuzzZonedWalk:./internal/video \
+	FuzzClipWalk:./internal/video \
 	FuzzDeltaHistogram:./internal/histogram \
 	FuzzUQI:./internal/quality \
 	FuzzDecodePNM:./internal/imageio \

@@ -46,8 +46,8 @@ var keptExports = map[string]string{
 	"internal/noalloc.ScanDir":                "the escape-analysis gate's self-test API",
 }
 
-// exportDecl is one exported func or method declared in a non-test file
-// under internal/.
+// exportDecl is one exported top-level name declared in a non-test file
+// under internal/: a func, a method, a type, a const or a var.
 type exportDecl struct {
 	dir, name, recv string // recv is "" for a plain func
 	pos             token.Position
@@ -60,18 +60,19 @@ func (d exportDecl) key() string {
 	return d.dir + "." + d.recv + "." + d.name
 }
 
-// refs is every way a non-test file names a func or method.
+// refs is every way a non-test file names a declaration.
 type refs struct {
 	local     map[string]bool // "<dir>.<Name>": bare identifier inside its own package
 	qualified map[string]bool // "<import path>.<Name>": pkg.Name from another package
 	selected  map[string]bool // "<Name>": x.Name on a value or type, or an interface method
 }
 
-// TestNoDeadExports fails for any exported func or method declared in a
-// non-test file under internal/ that no non-test file of the repository
-// (internal/, cmd/, examples/, bench/ and analyzer testdata fixtures)
-// refers to. Code reached only from its own tests is work nothing runs;
-// delete it, or list it in keptExports with the reason it stays.
+// TestNoDeadExports fails for any exported func, method, type, const or
+// var declared at top level in a non-test file under internal/ that no
+// non-test file of the repository (internal/, cmd/, examples/, bench/
+// and analyzer testdata fixtures) refers to. Code reached only from its
+// own tests is work nothing runs; delete it, or list it in keptExports
+// with the reason it stays.
 func TestNoDeadExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var decls []exportDecl
@@ -97,8 +98,20 @@ func TestNoDeadExports(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(p))
 		declared := strings.HasPrefix(dir, "internal/") && !strings.Contains("/"+dir+"/", "/testdata/")
 		for _, dcl := range f.Decls {
-			if fd, ok := dcl.(*ast.FuncDecl); ok && declared && fd.Name.IsExported() {
-				decls = append(decls, exportDecl{dir: dir, name: fd.Name.Name, recv: recvName(fd), pos: fset.Position(fd.Pos())})
+			if !declared {
+				break
+			}
+			switch dcl := dcl.(type) {
+			case *ast.FuncDecl:
+				if dcl.Name.IsExported() {
+					decls = append(decls, exportDecl{dir: dir, name: dcl.Name.Name, recv: recvName(dcl), pos: fset.Position(dcl.Pos())})
+				}
+			case *ast.GenDecl:
+				for _, id := range specNames(dcl) {
+					if id.IsExported() {
+						decls = append(decls, exportDecl{dir: dir, name: id.Name, pos: fset.Position(id.Pos())})
+					}
+				}
 			}
 		}
 		collectRefs(f, dir, &r)
@@ -125,7 +138,7 @@ func TestNoDeadExports(t *testing.T) {
 		case called && kept:
 			t.Errorf("%s: %s is in keptExports but has a caller; drop the entry", d.pos, d.key())
 		case !called && !kept:
-			t.Errorf("%s: %s has no caller outside tests", d.pos, d.key())
+			t.Errorf("%s: %s has no reference outside tests", d.pos, d.key())
 		}
 	}
 	for k := range keptExports {
@@ -157,7 +170,21 @@ func recvName(fd *ast.FuncDecl) string {
 	}
 }
 
-// collectRefs records every reference f makes to a func or method. A
+// specNames lists the names a type, const or var declaration declares.
+func specNames(gd *ast.GenDecl) []*ast.Ident {
+	var names []*ast.Ident
+	for _, spec := range gd.Specs {
+		switch s := spec.(type) {
+		case *ast.TypeSpec:
+			names = append(names, s.Name)
+		case *ast.ValueSpec:
+			names = append(names, s.Names...)
+		}
+	}
+	return names
+}
+
+// collectRefs records every reference f makes to a declaration. A
 // declaration's own name is not a reference, and neither is a recursive
 // call from inside its own body.
 func collectRefs(f *ast.File, dir string, r *refs) {
@@ -199,6 +226,20 @@ func collectRefs(f *ast.File, dir string, r *refs) {
 				r.selected[x.Sel.Name] = true
 			}
 			ast.Inspect(x.X, visit)
+			return false
+		case *ast.TypeSpec:
+			if x.TypeParams != nil {
+				ast.Inspect(x.TypeParams, visit)
+			}
+			ast.Inspect(x.Type, visit)
+			return false
+		case *ast.ValueSpec:
+			if x.Type != nil {
+				ast.Inspect(x.Type, visit)
+			}
+			for _, v := range x.Values {
+				ast.Inspect(v, visit)
+			}
 			return false
 		case *ast.InterfaceType:
 			for _, m := range x.Methods.List {

@@ -11,8 +11,8 @@ import (
 
 	"hebs/internal/backlight"
 	"hebs/internal/core"
+	"hebs/internal/parallel"
 	"hebs/internal/report"
-	"hebs/internal/sipi"
 )
 
 // BackendRow is one (backend, budget) cell of the frontier: suite-mean
@@ -59,8 +59,8 @@ func BackendFrontier(cfg Config, backends []backlight.Backend, budgets []float64
 			row := BackendRow{Backend: b.Name(), Budget: budget}
 			type cell struct{ saving, beta, spread, after float64 }
 			cells := make([]cell, len(suite))
-			err := forEachImageCtx(cfg.context(), suite, cfg.Workers, func(i int, ni sipi.NamedImage) error {
-				zr, err := eng.ProcessZoned(cfg.context(), ni.Image, core.Options{
+			err := parallel.ForEach(cfg.context(), len(suite), cfg.Workers, func(i int) error {
+				zr, err := eng.ProcessZoned(cfg.context(), suite[i].Image, core.Options{
 					MaxDistortionPercent: budget,
 					ExactSearch:          true,
 					Metric:               cfg.Metric,

@@ -16,6 +16,7 @@ import (
 	"hebs/internal/chart"
 	"hebs/internal/core"
 	"hebs/internal/driver"
+	"hebs/internal/parallel"
 	"hebs/internal/power"
 	"hebs/internal/report"
 	"hebs/internal/sipi"
@@ -215,7 +216,8 @@ func Table1(cfg Config) (*Table1Result, error) {
 	}
 	// Images are independent: fan out, then reduce sequentially so the
 	// averages are bit-identical to a serial run.
-	err = forEachImageCtx(cfg.context(), suite, cfg.Workers, func(i int, ni sipi.NamedImage) error {
+	err = parallel.ForEach(cfg.context(), len(suite), cfg.Workers, func(i int) error {
+		ni := suite[i]
 		row := Table1Row{Name: ni.Name}
 		for _, budget := range Table1Budgets {
 			out, err := core.ProcessContext(cfg.context(), ni.Image, core.Options{
@@ -271,7 +273,8 @@ func Comparison(cfg Config, budget float64) ([]ComparisonRow, error) {
 	const nMethods = 4
 	type cell struct{ saving, beta float64 }
 	cells := make([][nMethods]cell, len(suite))
-	err = forEachImageCtx(cfg.context(), suite, cfg.Workers, func(i int, ni sipi.NamedImage) error {
+	err = parallel.ForEach(cfg.context(), len(suite), cfg.Workers, func(i int) error {
+		ni := suite[i]
 		h, err := core.ProcessContext(cfg.context(), ni.Image, core.Options{
 			MaxDistortionPercent: budget,
 			ExactSearch:          true,

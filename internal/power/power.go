@@ -170,13 +170,9 @@ type SystemModel struct {
 	DisplayShare float64
 }
 
-// SmartBadge operating-mode shares from ref. [1] as quoted in the
-// paper's introduction.
-var (
-	SmartBadgeActive  = SystemModel{DisplayShare: 0.286}
-	SmartBadgeIdle    = SystemModel{DisplayShare: 0.286}
-	SmartBadgeStandby = SystemModel{DisplayShare: 0.50}
-)
+// SmartBadgeActive is the SmartBadge active-mode share from ref. [1]
+// as quoted in the paper's introduction.
+var SmartBadgeActive = SystemModel{DisplayShare: 0.286}
 
 // SystemSavingPercent converts a display-subsystem power saving into a
 // whole-system saving: a d% display saving shrinks total power by

@@ -217,7 +217,8 @@ func TestSystemSavingPercent(t *testing.T) {
 	if math.Abs(s-4.29) > 0.01 {
 		t.Errorf("system saving = %v%%, want ~4.29%%", s)
 	}
-	if s2, _ := SmartBadgeStandby.SystemSavingPercent(15); s2 <= s {
+	standby := SystemModel{DisplayShare: 0.50}
+	if s2, _ := standby.SystemSavingPercent(15); s2 <= s {
 		t.Error("standby (50% share) should convert more saving than active")
 	}
 }

@@ -1,12 +1,12 @@
-// Pooled incremental-analysis state for the schedulers. A deltaState
-// bundles the reference frame and its tile histograms
-// (histogram.FrameDelta) with the two memoizations the fused fast path
-// replays when a frame's pixels are unchanged:
+// Pooled incremental-analysis state for the classic clip walk. A
+// deltaState is frame −1 of the next clip: the previous clip's last
+// frame as the tile reference (histogram.FrameDelta), plus the two
+// memoizations a frame identical to it replays:
 //
-//   - ownRange: the frame's own admissible range — skipping the exact
-//     range search, the most expensive per-frame stage.
-//   - meas: the applied-range measurement record (β, distortion, power
-//     saving) — a fused frame copies it and makes no engine call.
+//   - ownRange: its own admissible range — skipping the exact range
+//     search, the most expensive per-frame stage.
+//   - meas: its FrameResult at the applied range — a fused frame whose
+//     copy source is frame −1 copies it and makes no engine call.
 //
 // Both replays are exact: range search and measurement are pure
 // functions of (pixels, options), the byte comparison with the
@@ -24,21 +24,15 @@ import (
 	"hebs/internal/histogram"
 )
 
-// deltaMeas is one frame's applied-range measurement record.
-type deltaMeas struct {
-	rng                      int
-	beta, distortion, saving float64
-	valid                    bool
-}
-
 // deltaState is the pooled per-walk incremental-analysis state.
 type deltaState struct {
-	delta    *histogram.FrameDelta
-	ownRange int
-	ownValid bool
-	meas     deltaMeas
-	key      core.OptionsKey
-	keyOK    bool
+	delta     *histogram.FrameDelta
+	ownRange  int
+	ownValid  bool
+	meas      FrameResult
+	measValid bool
+	key       core.OptionsKey
+	keyOK     bool
 }
 
 var deltaStatePool = sync.Pool{New: func() any { return new(deltaState) }}
@@ -62,13 +56,11 @@ func acquireDelta(w, h int, opts core.Options) (*deltaState, error) {
 			deltaStatePool.Put(ds)
 			return nil, err
 		}
-		ds.ownValid = false
-		ds.meas = deltaMeas{}
+		ds.ownValid, ds.measValid = false, false
 	}
 	key, comparable := core.KeyFor(opts)
 	if !comparable || !ds.keyOK || key != ds.key {
-		ds.ownValid = false
-		ds.meas = deltaMeas{}
+		ds.ownValid, ds.measValid = false, false
 	}
 	ds.key, ds.keyOK = key, comparable
 	return ds, nil

@@ -115,6 +115,35 @@ func TestFusedFramesSkipEngine(t *testing.T) {
 	}
 }
 
+// TestReplayChainBreaksAcrossClips: a clip whose last frame inherits
+// its predecessor's range over changed pixels (a one-pixel pan the
+// reuse estimator calls static) leaves frame −1 without a valid own
+// range, so a next clip that starts on those pixels must search them
+// rather than replay the range searched on the pan's first frame.
+func TestReplayChainBreaksAcrossClips(t *testing.T) {
+	pan := fuzzClip(t, 0, 1, 4)
+	held, err := NewSequence(pan.Frames[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := steadyPolicy()
+	pol.DeltaAnalysis = true
+	pol.Engine = core.NewEngine(core.EngineOptions{Workers: 1})
+	for _, seq := range []*Sequence{pan, held} {
+		want, err := referenceWalk(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Process(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-frame clip: result differs from the reference walk:\n got %+v\nwant %+v", len(seq.Frames), got, want)
+		}
+	}
+}
+
 // TestStaleMemoSubsystemMutation: a delta-analysis clip run twice with
 // the same Subsystem pointer, the pointee's panel model changed in
 // between, must report the new model's savings. The pooled delta

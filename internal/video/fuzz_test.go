@@ -1,6 +1,7 @@
 package video
 
 import (
+	"reflect"
 	"testing"
 
 	"hebs/internal/backlight"
@@ -72,9 +73,9 @@ func FuzzDetectCuts(f *testing.F) {
 	})
 }
 
-// fuzzZonedScenes are the two 128×64 scenes FuzzZonedWalk crops its
+// fuzzScenes are the two 128×64 scenes the fuzzed walks crop their
 // 48×48 frames from; a cut switches between them.
-var fuzzZonedScenes = func() [2]*gray.Image {
+var fuzzScenes = func() [2]*gray.Image {
 	var s [2]*gray.Image
 	for i, name := range []string{"autumn", "splash"} {
 		img, err := sipi.Generate(name, 128, 64)
@@ -86,17 +87,18 @@ var fuzzZonedScenes = func() [2]*gray.Image {
 	return s
 }()
 
-// fuzzZonedClip builds a clip from script: frame 0 crops the first
-// scene at x = 0, and each of the low n%6 script bytes (least
-// significant first) adds one frame — b%3 == 0 pans right by
-// 1+(b/3)%8 pixels, 1 holds the previous frame, 2 cuts to the other
-// scene. At most 6 frames: each exec runs the clip twice with every
-// zone's plan solved uncached, so frames are its cost.
-func fuzzZonedClip(t *testing.T, script uint64, n uint8) *Sequence {
+// fuzzClip builds a clip from script: frame 0 crops the first scene at
+// x = 0, and each of the low n%6 script bytes (least significant
+// first) adds one frame — b%ops == 0 pans right by 1+(b/ops)%8 pixels,
+// 1 holds the previous frame, 2 cuts to the other scene, and 3 (when
+// ops is 4) adds the current crop flashed to p/2+128. At most 6 frames:
+// each exec runs the clip several times, with some plans solved
+// uncached, so frames are its cost.
+func fuzzClip(t *testing.T, script uint64, n uint8, ops int) *Sequence {
 	const side = 48
 	scene, x := 0, 0
 	crop := func() *gray.Image {
-		src := fuzzZonedScenes[scene]
+		src := fuzzScenes[scene]
 		f := gray.New(side, side)
 		for y := 0; y < side; y++ {
 			copy(f.Pix[y*side:(y+1)*side], src.Pix[y*src.W+x:y*src.W+x+side])
@@ -106,15 +108,21 @@ func fuzzZonedClip(t *testing.T, script uint64, n uint8) *Sequence {
 	frames := []*gray.Image{crop()}
 	for k := 0; k < int(n%6); k++ {
 		b := uint8(script >> (8 * k))
-		switch b % 3 {
+		switch int(b) % ops {
 		case 0:
-			x = (x + 1 + int(b/3)%8) % (128 - side + 1)
+			x = (x + 1 + int(b)/ops%8) % (128 - side + 1)
 			frames = append(frames, crop())
 		case 1:
 			frames = append(frames, frames[len(frames)-1])
 		case 2:
 			scene = 1 - scene
 			frames = append(frames, crop())
+		case 3:
+			f := crop()
+			for p, v := range f.Pix {
+				f.Pix[p] = v/2 + 128
+			}
+			frames = append(frames, f)
 		}
 	}
 	seq, err := NewSequence(frames)
@@ -122,6 +130,60 @@ func fuzzZonedClip(t *testing.T, script uint64, n uint8) *Sequence {
 		t.Fatal(err)
 	}
 	return seq
+}
+
+// FuzzClipWalk is the differential oracle of the classic clip walk:
+// over held frames, pans, cuts and flashes, with DeltaAnalysis on and
+// off, ReuseThreshold {0, 4}, Workers {1, 2}, MaxStep {0, 0.01, k/255}
+// and CutThreshold {0, 0.15}, Process returns referenceWalk's Result.
+// Each input runs twice on one shared engine, so the second run starts
+// from frame −1 — the first run's last frame with its own range and
+// measurements — and may fuse from it. The pooled delta state also
+// carries across inputs, so a first run can start from an earlier
+// input's last frame; that must match the oracle too.
+func FuzzClipWalk(f *testing.F) {
+	// testdata/fuzz/FuzzClipWalk/fuse_frame_minus1 cuts away and back
+	// (frames A, B, A) with delta analysis on and no slew limit: the
+	// second run's frame 0 is identical to frame −1, replays its range
+	// and fuses from its measurements.
+	f.Add(uint64(0x0102030001), uint8(5), true, true, true, uint8(1), true)
+	f.Add(uint64(0x01030204), uint8(4), true, false, true, uint8(3), false)
+	f.Add(uint64(0x0301), uint8(2), false, true, false, uint8(40), true)
+	f.Fuzz(func(t *testing.T, script uint64, n uint8, delta, reuse, twoWorkers bool, step uint8, cut bool) {
+		seq := fuzzClip(t, script, n, 4)
+		pol := Policy{
+			DeltaAnalysis: delta,
+			Workers:       1,
+			Engine:        core.NewEngine(core.EngineOptions{Workers: 1}),
+			Options:       core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+		}
+		if reuse {
+			pol.ReuseThreshold = 4
+		}
+		if twoWorkers {
+			pol.Workers = 2
+		}
+		pol.MaxStep = float64(step) / 255
+		if step == 1 {
+			pol.MaxStep = 0.01
+		}
+		if cut {
+			pol.CutThreshold = 0.15
+		}
+		want, err := referenceWalk(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			got, err := Process(seq, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("run %d: result differs from the reference walk:\n got %+v\nwant %+v", run, got, want)
+			}
+		}
+	})
 }
 
 // FuzzZonedWalk is the differential oracle of the zoned clip walk:
@@ -141,7 +203,7 @@ func FuzzZonedWalk(f *testing.F) {
 	// every new []byte input with up to hundreds of full execs, and at
 	// tens of milliseconds per exec that crowds out exploration.
 	f.Fuzz(func(t *testing.T, script uint64, n, grid, pwm uint8, slew bool, step, cut, budget uint8, delta bool) {
-		seq := fuzzZonedClip(t, script, n)
+		seq := fuzzClip(t, script, n, 3)
 		opts := backlight.LEDOptions{
 			Rows:    1 + int(grid)%4,
 			Cols:    1 + int(grid/4)%4,

@@ -3,25 +3,27 @@
 // select → GHE → PLC → apply → measure) plus the temporal policy mixes
 // three kinds of work with very different dependency structure:
 //
-//   - Per-frame statistics (histogram) and the admissible-range search
-//     — pure functions of the frame, embarrassingly parallel.
-//   - The reuse decision and the β-slew/cut governor — an inherently
-//     serial chain: Eq. 10 reprograms the driver frame to frame, so
-//     each frame's applied β depends on the previous frame's, and the
-//     estimator folds histograms in stream order.
+//   - The admissible-range search — a pure function of the frame,
+//     embarrassingly parallel, and most of a frame's analysis cost.
+//   - Per-frame statistics, the reuse decision and the β-slew/cut
+//     governor — serial chains: the delta tile fold diffs each frame
+//     against its predecessor, the estimator folds histograms in
+//     stream order, and Eq. 10 reprograms the driver frame to frame,
+//     so each frame's applied β depends on the previous frame's.
 //   - Apply + the distortion/power measurements at the resolved range
 //     — again pure per-frame functions once the range is fixed.
 //
-// processPipelined splits the clip along exactly those lines: analyze
-// every frame, run the governor serially over the collected numbers
-// (O(256) folds and a handful of float ops per frame — microseconds for
-// any clip), then apply and measure every frame. With one worker each
-// phase runs inline on the caller's goroutine (parallel.ForEach spawns
-// nothing); with more, the analysis and Apply phases fan out. Outputs —
+// processPipelined splits the clip along exactly those lines: one
+// serial pre-pass over the frames (statistics, reuse, replay chain),
+// the range searches, the governor serially over the collected numbers
+// (a handful of float ops per frame — microseconds for any clip), then
+// apply and measure every frame. With one worker each phase runs
+// inline on the caller's goroutine (parallel.ForEach spawns nothing);
+// with more, the search and Apply phases fan out. Outputs —
 // frames, β sequences, driver programs, aggregates — are byte-identical
 // at every worker count and to the per-frame paper reproduction
 // (core.Process, the governor, then a re-run at the applied range),
-// which TestWalkMatchesReference keeps as its oracle.
+// which TestWalkMatchesReference and FuzzClipWalk keep as their oracle.
 package video
 
 import (
@@ -50,18 +52,19 @@ func policyWorkers(n, frames int) int {
 	return parallel.Workers(n, frames)
 }
 
-// frameState carries one frame through the phases: its histogram
-// (phase A), the reuse flag (B), the selected range (C), the
-// governor's decision record (D) — what the frame's own HEBS optimum
-// was, which range Apply must run at after slew limiting, which policy
-// events fired — and the frame result (E). One pooled slice holds the
-// whole clip so a steady-state run allocates a handful of objects per
-// clip, not per frame.
+// frameState carries one frame through the phases: its histogram,
+// delta flags and reuse/replay decisions (the serial pre-pass), the
+// selected range (C), the governor's decision record (D) — what the
+// frame's own HEBS optimum was, which range Apply must run at after
+// slew limiting, which policy events fired, whether the frame is fused
+// — and the frame result (E). One pooled slice holds the whole clip so
+// a steady-state run allocates a handful of objects per clip, not per
+// frame.
 type frameState struct {
 	hist histogram.Histogram
-	// analysis is the wall time phases A0, A and C spent on this frame;
-	// phase E adds it to its own so a frame's latency covers the whole
-	// frame at every worker count.
+	// analysis is the wall time the pre-pass and phase C spent on this
+	// frame; phase E adds it to its own so a frame's latency covers the
+	// whole frame at every worker count.
 	analysis   time.Duration
 	reuse      bool
 	rng        int     // selected admissible range (non-reuse frames)
@@ -70,12 +73,13 @@ type frameState struct {
 	slew       bool
 	cut        bool
 	// Delta-analysis state (DeltaAnalysis only): identical marks a frame
-	// whose pixels are byte-identical to its predecessor's (the pooled
-	// reference for frame 0), replay marks one that resolves its range
-	// from the own-range memo instead of searching, tileRatio is
-	// changed/total tiles, and fused frames copy their measurements from
-	// copySrc (a frame index, or -2 for the pooled cross-clip record)
-	// instead of measuring.
+	// whose pixels are byte-identical to its predecessor's (frame −1, the
+	// pooled deltaState, for frame 0), replay marks one that resolves its
+	// range from the own-range memo instead of searching, and tileRatio
+	// is changed/total tiles. A fused frame is identical and applied at
+	// its predecessor's range: it copies the measurements of its copy
+	// source — the measured frame copySrc, or frame −1 when copySrc is
+	// -1 — instead of measuring.
 	identical bool
 	replay    bool
 	tileRatio float64
@@ -85,14 +89,9 @@ type frameState struct {
 	done      bool
 }
 
-// minHistFanoutPixels is the per-frame work floor for fanning out the
-// statistics phase: below ~32K pixels a frame's histogram scan costs
-// less than handing it to another goroutine.
-const minHistFanoutPixels = 1 << 15
-
 // clipState is one clip's pooled scratch: the per-frame states plus
-// the index lists of the frames phase C searches and of phase E's
-// measuring and fused waves.
+// the index lists of the frames phase C searches (built by the
+// pre-pass) and of phase E's measuring and fused waves.
 type clipState struct {
 	frames             []frameState
 	search, full, fast []int
@@ -127,8 +126,11 @@ func getClipState(n int) *clipState {
 }
 
 // processPipelined is ProcessContext's clip walk; workers is the
-// resolved pool bound (>= 1). A cancellation mid-clip returns the
-// aggregated contiguous prefix of frames that completed phase E
+// resolved pool bound (>= 1). It runs one serial pre-pass (delta tile
+// fold or histogram, reuse estimator, replay chain), then fans out the
+// range searches (C), runs the governor serially (D) and fans out
+// apply-and-measure in two waves (E). A cancellation mid-clip returns
+// the aggregated contiguous prefix of frames that completed phase E
 // (possibly empty) together with ctx's error.
 func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers int) (*Result, error) {
 	eng := pol.Engine
@@ -153,13 +155,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	defer statePool.Put(cs)
 	st := cs.frames
 
-	// Phase A0 — incremental analysis (DeltaAnalysis only). The tile
-	// fold is a serial chain (each frame diffs against its predecessor),
-	// and it replaces the per-frame full histogram scans below.
+	// Frame −1 (DeltaAnalysis only): read the pooled state once, then
+	// invalidate its memos until the clip completes cleanly — the tile
+	// fold below moves the reference to a later frame, so a partial run
+	// must not leave stale range/measurement records paired with it.
 	var ds *deltaState
-	var dsOwnRange int
-	var dsOwnValid bool
-	var dsMeas deltaMeas
+	var m1 deltaState
 	if pol.DeltaAnalysis {
 		d, err := acquireDelta(seq.Frames[0].W, seq.Frames[0].H, pol.Options)
 		if err != nil {
@@ -167,108 +168,79 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		}
 		ds = d
 		defer releaseDelta(ds)
-		// Capture the pooled memoizations and invalidate them until the
-		// clip completes cleanly: after the fold below the tile reference
-		// tracks the LAST frame, so a partial run must not leave stale
-		// range/measurement records paired with it.
-		dsOwnRange, dsOwnValid, dsMeas = ds.ownRange, ds.ownValid, ds.meas
-		ds.ownValid = false
-		ds.meas.valid = false
-		for i := range st {
-			t0 := time.Now()
-			changed, total, err := ds.delta.Update(seq.Frames[i], &st[i].hist)
-			st[i].analysis = time.Since(t0)
+		m1 = *ds
+		ds.ownValid, ds.measValid = false, false
+	}
+	var est *histogram.Estimator
+	if pol.ReuseThreshold > 0 {
+		var err error
+		if est, err = histogram.NewEstimator(0.5); err != nil {
+			return nil, err
+		}
+	}
+
+	// The serial pre-pass, in stream order:
+	//   - statistics: the delta tile fold (each frame diffs against its
+	//     predecessor) or, without it, a full histogram scan when the
+	//     estimator needs one;
+	//   - reuse: a frame whose histogram sits within ReuseThreshold
+	//     (earth-mover's distance) of the running estimate is a static
+	//     scene and inherits its predecessor's admissible range. Frame 0
+	//     always searches (the estimator has seen nothing yet);
+	//   - replay: the own-range memo is valid for a frame exactly when
+	//     every frame since the last search (or frame −1) was identical.
+	//     A non-identical reused frame breaks the chain (its own search
+	//     never runs); a search re-anchors it;
+	//   - phase C's list: every frame that neither reuses nor replays.
+	// A histogram costs tens of microseconds against milliseconds of
+	// search and apply per frame, so the pass runs inline.
+	ownRng, ownOK := m1.ownRange, m1.ownValid
+	search := cs.search
+	for i := range st {
+		if err := ctx.Err(); err != nil {
+			return finish(err)
+		}
+		f := &st[i]
+		t0 := time.Now()
+		if ds != nil {
+			changed, total, err := ds.delta.Update(seq.Frames[i], &f.hist)
 			if err != nil {
 				return nil, err
 			}
 			mTilesRebinned.Add(int64(changed))
-			st[i].tileRatio = float64(changed) / float64(total)
-			st[i].identical = changed == 0
+			f.tileRatio = float64(changed) / float64(total)
+			f.identical = changed == 0
+		} else if est != nil {
+			histogram.OfInto(seq.Frames[i], &f.hist)
 		}
-	}
-
-	// Phase A+B — reuse decisions. Frame histograms are independent
-	// (fan out); the estimator fold is stream-ordered (serial). A frame
-	// whose histogram sits within ReuseThreshold (earth-mover's distance)
-	// of the running estimate is a static scene: it skips the range
-	// search and inherits its predecessor's admissible range, which
-	// makes the per-image exact search moot as well. Frame 0 always
-	// searches (the estimator has seen nothing yet).
-	if pol.ReuseThreshold > 0 {
-		est, err := histogram.NewEstimator(0.5)
-		if err != nil {
-			return nil, err
-		}
-		// Small frames scan in microseconds; below the work floor the
-		// fan-out costs more than it saves, and ForEach with one worker
-		// runs inline (no goroutines, no allocations). With delta
-		// analysis on, the fold above already filled every histogram.
-		if ds == nil {
-			hw := workers
-			if len(seq.Frames[0].Pix) < minHistFanoutPixels {
-				hw = 1
-			}
-			if err := parallel.ForEach(ctx, n, hw, func(i int) error {
-				t0 := time.Now()
-				histogram.OfInto(seq.Frames[i], &st[i].hist)
-				st[i].analysis += time.Since(t0)
-				return nil
-			}); err != nil {
-				return finish(err) // only ctx errors escape this phase
-			}
-		}
-		for i := range st {
+		f.analysis = time.Since(t0)
+		if est != nil {
 			if est.Ready() {
-				d, err := est.Distance(&st[i].hist)
+				d, err := est.Distance(&f.hist)
 				if err != nil {
 					return nil, err
 				}
-				st[i].reuse = d < pol.ReuseThreshold
+				f.reuse = d < pol.ReuseThreshold
 			}
-			if err := est.Observe(&st[i].hist); err != nil {
+			if err := est.Observe(&f.hist); err != nil {
 				return nil, err
 			}
 		}
-	}
-
-	// Phase C — admissible-range search for every frame that will not
-	// inherit its range, fanned out with per-worker pooled scratch
-	// (the engine's buffer pool plus its shared reconstruction-LUT
-	// cache back the exact search). The job list is compacted to the
-	// searching frames so a steady-state clip (one search, the rest
-	// reused) runs inline with no pool spawn at all. The searches run
-	// under the clip span so their stage.range_select spans nest under
-	// video.Process.
-	// Replay chain (DeltaAnalysis only): the own-range memo is valid for
-	// a frame exactly when its pixels are certified identical to the
-	// pixels the memo's search ran on — i.e. every frame since the last
-	// searched frame (or the pooled reference) was identical, with the
-	// chain broken by a non-identical reused frame (its own search never
-	// runs, so the memo goes stale). Replay frames skip phase C; the
-	// memo value itself is threaded through phase D.
-	ownOK := dsOwnValid
-	if ds != nil {
-		for i := range st {
-			st[i].replay = st[i].identical && !st[i].reuse && ownOK
-			switch {
-			case st[i].reuse:
-				if !st[i].identical {
-					ownOK = false
-				}
-			case st[i].replay:
-				// Memo replayed; still anchored to these pixels.
-			default:
-				// This frame searches in phase C, re-anchoring the memo.
-				ownOK = true
-			}
-		}
-	}
-	search := cs.search
-	for i := range st {
-		if !st[i].reuse && !st[i].replay {
+		f.replay = f.identical && !f.reuse && ownOK
+		ownOK = !f.reuse || f.identical && ownOK
+		if !f.reuse && !f.replay {
 			search = append(search, i)
 		}
 	}
+
+	// Phase C — admissible-range search for every frame that neither
+	// inherits nor replays its range, fanned out with per-worker pooled
+	// scratch (the engine's buffer pool plus its shared
+	// reconstruction-LUT cache back the exact search). The job list
+	// holds only the searching frames, so a steady-state clip (one
+	// search, the rest reused) runs inline with no pool spawn at all.
+	// The searches run under the clip span so their stage.range_select
+	// spans nest under video.Process.
 	sctx := obs.ContextWithSpan(ctx, sp)
 	if err := parallel.ForEach(sctx, len(search), workers, func(k int) error {
 		i := search[k]
@@ -295,14 +267,13 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	// the backlight actually applied.
 	prevBeta := math.NaN()
 	tr := 0
-	// Delta bookkeeping (DeltaAnalysis only): ownRng is the threaded
-	// own-range memo the replay frames resolve to; head is the most
-	// recent frame of the current pixel-identity run that measures fully
-	// (-1: none yet); poolChain holds while the identity run extends
-	// back to the pooled cross-clip reference frame.
-	ownRng := dsOwnRange
-	head := -1
-	poolChain := true
+	// ownRng threads the own-range memo the replay frames resolve to;
+	// prevApply is frame i−1's applied range (frame −1's for frame 0,
+	// -1 when frame −1 has no valid record).
+	prevApply := -1
+	if m1.measValid {
+		prevApply = m1.meas.Range
+	}
 	for i := 0; i < n; i++ {
 		switch {
 		case st[i].replay:
@@ -345,29 +316,17 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 				return nil, fmt.Errorf("video: frame %d: %w", i, err)
 			}
 		}
-		// Fusion eligibility: a frame may copy its measurements from the
-		// measuring head of its pixel-identity run (or from the pooled
-		// cross-clip record while the run reaches back to the reference
-		// frame) when the applied range matches — identical pixels at an
-		// identical operating point measure identically.
-		if ds != nil {
-			if !st[i].identical {
-				head = -1
-				poolChain = false
-			}
-			if st[i].identical {
-				if head >= 0 && st[head].applyRange == st[i].applyRange {
-					st[i].fused = true
-					st[i].copySrc = head
-				} else if head < 0 && poolChain && dsMeas.valid && dsMeas.rng == st[i].applyRange {
-					st[i].fused = true
-					st[i].copySrc = -2
-				}
-			}
-			if !st[i].fused {
-				head = i
+		// Fusion: identical pixels at an identical operating point
+		// measure identically, so the frame copies its predecessor's
+		// copy source (the predecessor itself when it measured).
+		if st[i].identical && st[i].applyRange == prevApply {
+			st[i].fused = true
+			st[i].copySrc = i - 1
+			if i > 0 && st[i-1].fused {
+				st[i].copySrc = st[i-1].copySrc
 			}
 		}
+		prevApply = st[i].applyRange
 		// Per-frame policy counters.
 		if st[i].reuse {
 			mRangeReuse.Inc()
@@ -393,7 +352,9 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 
 	// Phase E — Apply and measure at the resolved ranges, fanned out.
 	// Results land in per-frame slots; a cancellation keeps the
-	// contiguous completed prefix.
+	// contiguous completed prefix. The closure takes frame −1's record
+	// by value, so m1 stays off the heap.
+	meas1 := m1.meas
 	applyFrame := func(i int) error {
 		start := time.Now()
 		fsp := sp.Child("video.frame")
@@ -419,21 +380,16 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		planCached := st[i].fused
 		if st[i].fused {
 			// Fused frame: no engine call. Its measurements are copied from
-			// the identity run's head (which the first apply wave already
-			// completed) or the pooled cross-clip record, and it reports
-			// its plan as cached, as a zoned replay does.
+			// its copy source (which the first apply wave already
+			// completed) or frame −1, and it reports its plan as cached, as
+			// a zoned replay does.
 			fsp.SetBool("fused_apply", true)
 			mFastPath.Inc()
-			src := dsMeas
-			if st[i].copySrc >= 0 {
-				f := st[st[i].copySrc].fr
-				src = deltaMeas{rng: f.Range, beta: f.Beta,
-					distortion: f.Distortion, saving: f.SavingPercent}
+			fr = meas1
+			if j := st[i].copySrc; j >= 0 {
+				fr = st[j].fr
 			}
-			fr.Beta = src.beta
-			fr.Range = src.rng
-			fr.Distortion = src.distortion
-			fr.SavingPercent = src.saving
+			fr.TargetBeta = st[i].target
 		} else {
 			opts := pol.Options
 			opts.Trace = fsp
@@ -464,7 +420,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		if rec := obs.Flight(); rec != nil {
 			var hh uint64
 			if pol.ReuseThreshold > 0 || ds != nil {
-				hh = flightHistHash(&st[i].hist) // phase A filled it
+				hh = flightHistHash(&st[i].hist) // the pre-pass filled it
 			}
 			rec.Record(obs.FrameRecord{
 				Frame:           pol.frameOffset + i,
@@ -490,8 +446,8 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	if ds == nil {
 		applyErr = parallel.ForEach(ctx, n, workers, applyFrame)
 	} else {
-		// Fused frames copy measurements from their identity run's head,
-		// so the full-measure wave must land first; both waves fan out
+		// Fused frames copy measurements from their copy sources, so the
+		// measuring wave must land first; both waves fan out
 		// freely within themselves.
 		full, fast := cs.full, cs.fast
 		for i := range st {
@@ -524,13 +480,10 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	}
 	if ds != nil {
 		// The clip completed cleanly: re-validate the pooled memoizations
-		// against the tile reference (now the last frame). ownRng/ownOK
-		// carry the threaded own-range memo; the measurement record is the
-		// last frame's applied-range numbers.
-		last := st[n-1].fr
+		// against the tile reference (now the last frame), which becomes
+		// the next clip's frame −1.
 		ds.ownRange, ds.ownValid = ownRng, ownOK
-		ds.meas = deltaMeas{rng: last.Range, beta: last.Beta,
-			distortion: last.Distortion, saving: last.SavingPercent, valid: true}
+		ds.meas, ds.measValid = st[n-1].fr, true
 	}
 	return finish(nil)
 }

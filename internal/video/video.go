@@ -155,9 +155,10 @@ type Policy struct {
 	// Workers bounds the parallelism of the clip scheduler, which runs
 	// every classic clip as analyze → govern → apply: 0 or 1 (the
 	// default) runs each phase inline on the caller's goroutine, n > 1
-	// fans the per-frame analysis and Apply/measure work out over up to
-	// n goroutines, and a negative value selects GOMAXPROCS. The
-	// order-dependent β-slew/cut governor is always one serial pass.
+	// fans the per-frame range searches and Apply/measure work out over
+	// up to n goroutines, and a negative value selects GOMAXPROCS. The
+	// order-dependent statistics, reuse and β-slew/cut governor passes
+	// are always serial.
 	// Outputs — frames, β sequences, driver programs — are
 	// byte-identical at every setting; see DESIGN.md "Parallel
 	// execution".
