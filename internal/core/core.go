@@ -51,7 +51,10 @@ type Options struct {
 	ExactSearch bool
 	// Curve is the distortion characteristic curve for the lookup path.
 	// When nil and needed, a curve built from the default benchmark
-	// suite is used (computed once per process).
+	// suite is used (computed once per process). A non-nil Curve keeps
+	// cross-call memos off (KeyFor cannot fingerprint what it points
+	// to), so a caller may edit its own curve between calls. The
+	// DefaultCurve value must never be edited.
 	Curve *chart.Curve
 	// WorstCase selects the worst-case fit of the curve instead of the
 	// entire-dataset fit.
@@ -82,16 +85,17 @@ type Options struct {
 
 // OptionsKey fingerprints the Options fields a frame's range
 // selection, plan and measurements depend on, so cross-call memos (the
-// video scheduler's delta state, the zoned walk's zone state) can tell
+// video clip walk's frame −1, the zoned walk's zone state) can tell
 // whether a memo still applies. Subsystem and Driver are keyed by the
 // values they point to, so changing the pointee between calls moves
-// the key. Trace is pure observability and the only field left out.
+// the key. A non-nil Curve makes the options unkeyable, so it has no
+// field here. Trace is pure observability and the only field left
+// out.
 type OptionsKey struct {
 	maxDist   float64
 	dynRange  int
 	exact     bool
 	worstCase bool
-	curve     *chart.Curve
 	segments  int // resolved: 0 and the default source count match
 	eq        Equalizer
 	sub       power.Subsystem // resolved: nil and DefaultSubsystem match
@@ -100,9 +104,9 @@ type OptionsKey struct {
 }
 
 // KeyFor builds the options fingerprint. ok is false when the options
-// cannot be fingerprinted — a custom Metric func, or a Driver whose LC
-// model's dynamic type is not comparable — and then no memo may
-// survive across calls.
+// cannot be fingerprinted — a custom Metric func, a Curve (its tables
+// can change behind the pointer), or a Driver whose LC model's dynamic
+// type is not comparable — and then no memo may survive across calls.
 func KeyFor(opts Options) (key OptionsKey, ok bool) {
 	if !comparableDriver(opts.Driver) {
 		return OptionsKey{}, false
@@ -112,7 +116,6 @@ func KeyFor(opts Options) (key OptionsKey, ok bool) {
 		dynRange:  opts.DynamicRange,
 		exact:     opts.ExactSearch,
 		worstCase: opts.WorstCase,
-		curve:     opts.Curve,
 		segments:  resolveSegments(opts.Segments),
 		eq:        opts.Equalizer,
 		sub:       power.DefaultSubsystem,
@@ -123,7 +126,7 @@ func KeyFor(opts Options) (key OptionsKey, ok bool) {
 	if opts.Driver != nil {
 		key.drv, key.hasDrv = *opts.Driver, true
 	}
-	return key, opts.Metric == nil
+	return key, opts.Metric == nil && opts.Curve == nil
 }
 
 // comparableDriver reports whether drv can be compared by value: == on
@@ -263,7 +266,9 @@ var (
 )
 
 // DefaultCurve returns the distortion characteristic curve built from
-// the default 19-image benchmark suite, computing it on first use.
+// the default 19-image benchmark suite, computing it on first use. The
+// curve is shared by every caller in the process and must not be
+// edited; copy it to change it.
 // The lookups/builds counter pair in the metrics registry exposes the
 // cache behaviour: hits = lookups − builds.
 func DefaultCurve() (*chart.Curve, error) {

@@ -14,8 +14,9 @@
 //     power measurements.
 //
 // An Engine owns sync.Pool-backed frame buffers, pooled histograms and
-// the plan cache, and threads context.Context through every stage so
-// long runs cancel promptly. The package-level Process, ProcessContext
+// the cross-call state of both clip walks, shares the plan cache, and
+// threads context.Context through every stage so long runs cancel
+// promptly. The package-level Process, ProcessContext
 // and ProcessColor delegate to a default Engine whose plan cache is
 // disabled, so every call recomputes and traces the full stage set.
 package core
@@ -79,8 +80,8 @@ func validateOptions(opts Options) error {
 type EngineOptions struct {
 	// PlanCacheSize switches plan caching: a negative value disables it
 	// (every Process recomputes its plan, emitting the full equalize/plc
-	// span set); any other value joins the process-wide sharded cache,
-	// shared across zones, engines and clips with exact-match
+	// span set); any other value joins the process-wide plan cache,
+	// one LRU shared across zones, engines and clips with exact-match
 	// verification (plancache.go). The cache is sized globally, so the
 	// magnitude is ignored.
 	PlanCacheSize int
@@ -100,9 +101,9 @@ type EngineOptions struct {
 // cache. An Engine is safe for concurrent use; the zero value is not
 // valid — use NewEngine.
 type Engine struct {
-	// planShared is the process-wide plan cache, nil when caching is
+	// plans is the process-wide plan cache, nil when caching is
 	// disabled (PlanCacheSize < 0).
-	planShared *planShards
+	plans *planCache
 
 	// workers is the resolved EngineOptions.Workers: >= 1, where 1
 	// means the zones of ProcessZoned run serially.
@@ -121,19 +122,56 @@ type Engine struct {
 
 	gets, puts, misses atomic.Int64
 
-	// zonedFree is the LIFO free list of zoned-walk states: a clip's
-	// next frame gets back its last frame's memos, which a sync.Pool
-	// may drop. It grows to the peak number of concurrent ProcessZoned
-	// calls.
-	zonedMu   sync.Mutex
-	zonedFree []*zonedState
+	// zonedFree holds the zoned walk's cross-call states and clipFree
+	// the classic clip walk's (AcquireClipState), so every memo in them
+	// belongs to this engine.
+	zonedFree freeList[*zonedState]
+	clipFree  freeList[any]
 }
+
+// freeList is a mutex-guarded LIFO of cross-call state: the next call
+// gets back the state the last one released, memos included, which a
+// sync.Pool may drop. It grows to the peak number of concurrent
+// holders.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// take pops the most recently released item (the zero T when the list
+// is empty).
+func (f *freeList[T]) take() (item T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.items); n > 0 {
+		item, f.items = f.items[n-1], f.items[:n-1]
+	}
+	return item
+}
+
+// give pushes item for the next take.
+func (f *freeList[T]) give(item T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.items = append(f.items, item)
+}
+
+// AcquireClipState takes the most recently released clip-walk state
+// off the engine's free list, nil when it is empty. internal/video
+// keeps its classic clip walk's per-clip scratch and frame −1 there, so
+// that memo never leaves the engine whose clips filled it; core never
+// looks inside.
+func (e *Engine) AcquireClipState() any { return e.clipFree.take() }
+
+// ReleaseClipState returns a state taken with AcquireClipState (or a
+// new one) for the engine's next clip.
+func (e *Engine) ReleaseClipState(st any) { e.clipFree.give(st) }
 
 // NewEngine returns an Engine with the given options.
 func NewEngine(opts EngineOptions) *Engine {
 	e := &Engine{workers: resolveWorkers(opts.Workers)}
 	if opts.PlanCacheSize >= 0 {
-		e.planShared = globalPlanCache
+		e.plans = globalPlanCache
 	}
 	return e
 }
@@ -435,13 +473,13 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 // value bypasses the cache.
 func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer) (plan *Plan, cached bool, err error) {
 	var hash uint64
-	shared := e.planShared
+	plans := e.plans
 	if !comparableDriver(drv) {
-		shared = nil
+		plans = nil
 	}
-	if shared != nil {
-		hash = planHash(h, r, segments, eq)
-		if plan := shared.lookup(hash, h, r, segments, drv, eq); plan != nil {
+	if plans != nil {
+		hash = h.Fingerprint()
+		if plan := plans.lookup(hash, h, r, segments, drv, eq); plan != nil {
 			mPlanCacheHits.Inc()
 			parent.SetBool("plan_cached", true)
 			return plan, true, nil
@@ -452,8 +490,8 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	if err != nil {
 		return nil, false, err
 	}
-	if shared != nil {
-		shared.store(hash, h, r, segments, drv, eq, plan)
+	if plans != nil {
+		plans.store(hash, h, r, segments, drv, eq, plan)
 	}
 	return plan, false, nil
 }

@@ -37,11 +37,11 @@ var (
 	// Plan-cache behaviour across all engines with caching enabled:
 	// hits are frames whose Plan was reused byte-identically from a
 	// matching recent histogram.
-	mPlanCacheHits   = obs.NewCounter("core.plan_cache_hits_total")
-	mPlanCacheMisses = obs.NewCounter("core.plan_cache_misses_total")
+	mPlanCacheHits      = obs.NewCounter("core.plan_cache_hits_total")
+	mPlanCacheMisses    = obs.NewCounter("core.plan_cache_misses_total")
+	mPlanCacheEvictions = obs.NewCounter("core.plan_cache.evictions_total")
 
-	// Occupancy and capacity of the shared plan cache, summed over
-	// its stripes.
+	// Occupancy and capacity of the shared plan cache.
 	gPlanCacheEntries  = obs.NewGauge("core.plan_cache.entries")
 	gPlanCacheCapacity = obs.NewGauge("core.plan_cache.capacity")
 

@@ -3,7 +3,7 @@
 // and Λ — per-zone GHE beats the single global β whenever luminance is
 // unevenly distributed, because a dark zone can dim far below the
 // global optimum. The zone grid fans out on internal/parallel, zone
-// plans share the process-wide sharded plan cache (a zone histogram is
+// plans share the process-wide plan cache (a zone histogram is
 // just a histogram), and a raise-only spatial relaxation
 // (backlight.Smooth) bounds the β gradient across zone boundaries to
 // suppress halo and blocking artifacts; a caller's ZoneFloors hook (the
@@ -245,9 +245,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	sealed := false
 	defer func() {
 		st.sealed = sealed
-		e.zonedMu.Lock()
-		e.zonedFree = append(e.zonedFree, st)
-		e.zonedMu.Unlock()
+		e.zonedFree.give(st)
 	}()
 
 	// Phase A — per-zone analysis. A zone byte-identical to its

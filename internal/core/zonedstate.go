@@ -25,7 +25,7 @@
 // Certification is always by full byte comparison against state-owned
 // buffers — never a checksum, never engine-pooled memory that another
 // call may have recycled. The state seals only after a walk completes
-// (capture-and-invalidate, like video's deltaState): a cancelled or
+// (capture-and-invalidate, like video's frame −1): a cancelled or
 // failed run leaves the state unsealed and the next acquire discards
 // every memo. Options that cannot be fingerprinted (KeyFor's ok=false)
 // or a backend whose dynamic type is not comparable keep nothing across
@@ -146,22 +146,18 @@ func (st *zonedState) invalidate() {
 
 // acquireZonedState takes the most recently released state off the
 // engine's free list (a new one when it is empty) and revalidates it
-// against the call's geometry, options and backend — the deltaState
-// fingerprint-and-revalidate pattern. Any mismatch (or an unsealed
-// state from an aborted run) keeps the buffers but drops the memos.
-// Options KeyFor cannot fingerprint, or a backend whose dynamic type is
-// not comparable, keep no memo across calls.
+// against the call's geometry, options and backend — the same
+// fingerprint-and-revalidate pattern as video's frame −1. Any mismatch
+// (or an unsealed state from an aborted run) keeps the buffers but
+// drops the memos. Options KeyFor cannot fingerprint, or a backend
+// whose dynamic type is not comparable, keep no memo across calls.
 func (e *Engine) acquireZonedState(img *gray.Image, g backlight.Grid, opts Options, b backlight.Backend) *zonedState {
 	key, keyOK := KeyFor(opts)
 	keyOK = keyOK && reflect.TypeOf(b).Comparable()
-	var st *zonedState
-	e.zonedMu.Lock()
-	if n := len(e.zonedFree); n > 0 {
-		st, e.zonedFree = e.zonedFree[n-1], e.zonedFree[:n-1]
-	} else {
+	st := e.zonedFree.take()
+	if st == nil {
 		st = &zonedState{}
 	}
-	e.zonedMu.Unlock()
 	if st.w != img.W || st.h != img.H || st.rows != g.Rows || st.cols != g.Cols || len(st.slots) != g.Zones() {
 		st.configure(img.W, img.H, g)
 		st.invalidate()

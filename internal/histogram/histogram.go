@@ -51,6 +51,32 @@ func OfInto(img *gray.Image, h *Histogram) {
 	h.N = len(img.Pix)
 }
 
+// Fingerprint is FNV-1a over the little-endian bytes of the bins, then
+// of N: equal histograms give equal fingerprints, so it is the quick
+// reject of an exact histogram compare (the plan cache) and the flight
+// record's scene hash.
+//
+//hebs:noalloc
+func (h *Histogram) Fingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	x := uint64(offset64)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			x ^= v & 0xff
+			x *= prime64
+			v >>= 8
+		}
+	}
+	for _, c := range h.Bins {
+		mix(uint64(c))
+	}
+	mix(uint64(h.N))
+	return x
+}
+
 // FromBins builds a histogram from raw bin counts.
 func FromBins(bins [Levels]int) (*Histogram, error) {
 	var h Histogram

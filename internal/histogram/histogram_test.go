@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hebs/internal/gray"
+	"hebs/internal/sipi"
 )
 
 func ramp() *gray.Image {
@@ -133,5 +134,34 @@ func TestL1CDFDistance(t *testing.T) {
 	}
 	if d := L1CDFDistance(a, c, 0); d != 0 {
 		t.Errorf("n=0 distance = %v, want 0", d)
+	}
+}
+
+// TestFingerprintPinned pins Fingerprint to the FNV-1a fold the flight
+// record's HistHash has always carried (bins, then N, each as 8
+// little-endian bytes), so recorded scene hashes stay comparable
+// across versions.
+func TestFingerprintPinned(t *testing.T) {
+	lena, err := sipi.Generate("lena", 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var synth Histogram
+	for i := range synth.Bins {
+		synth.Bins[i] = (i*31 + 97) % 251
+		synth.N += synth.Bins[i]
+	}
+	for _, tc := range []struct {
+		name string
+		h    *Histogram
+		want uint64
+	}{
+		{"empty", &Histogram{}, 0x870f7c2ceafad9c5},
+		{"synthetic", &synth, 0xa0c8de525945a172},
+		{"lena64", Of(lena), 0xeb18c1df46dfa3f9},
+	} {
+		if got := tc.h.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }

@@ -83,7 +83,9 @@ func TestSteadyStateAllocGuard(t *testing.T) {
 					}
 				}
 			})
-			if allocs := res.AllocsPerOp(); allocs > budget {
+			allocs := res.AllocsPerOp()
+			t.Logf("%d allocs/op (budget %d)", allocs, budget)
+			if allocs > budget {
 				inv, err := noalloc.Scan("../..")
 				suspects := ""
 				if err != nil {

@@ -101,8 +101,8 @@ func BenchmarkLegacyVideoSteadyState(b *testing.B) {
 }
 
 // BenchmarkEngineVideoDeltaSteadyState is BenchmarkEngineVideoSteadyState
-// with incremental delta analysis: after the warm-up clip the pooled
-// deltaState's reference matches every frame (the clip is static), so
+// with incremental delta analysis: after the warm-up clip the engine's
+// frame −1 matches every frame (the clip is static), so
 // per-frame work collapses to the tile comparison: every frame is fused
 // and makes no engine call. The ns/op ratio against BenchmarkEngineVideoSteadyState is
 // the fused fast path's speedup on static content.

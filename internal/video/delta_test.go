@@ -4,16 +4,18 @@ import (
 	"reflect"
 	"testing"
 
+	"hebs/internal/backlight"
 	"hebs/internal/core"
 	"hebs/internal/gray"
 	"hebs/internal/obs"
 	"hebs/internal/power"
+	"hebs/internal/sipi"
 )
 
 // checkSharedEngineAcrossClips runs several clips back to back through
 // one shared engine, which carries warm pools, the plan cache and the
-// reconstruction cache (and, with delta analysis on, the pooled
-// deltaState) from walk to walk. Every Result must equal the reference
+// reconstruction cache (and, with delta analysis on, frame −1) from
+// walk to walk. Every Result must equal the reference
 // walk at Workers 0, 1 and 4, and no pooled buffer may leak.
 func checkSharedEngineAcrossClips(t *testing.T, delta bool) {
 	t.Helper()
@@ -56,10 +58,10 @@ func TestPipelinedSharedEngineMatchesSerial(t *testing.T) {
 	checkSharedEngineAcrossClips(t, false)
 }
 
-// TestDeltaSharedEngineAcrossClips: the pooled deltaState carries a
+// TestDeltaSharedEngineAcrossClips: the engine's frame −1 carries a
 // reference frame and memoized measurements across clip walks,
-// including a second walk of the same clip, where the pooled reference
-// may match frame 0 exactly and fuse it. Every Result must still equal
+// including a second walk of the same clip, where the reference may
+// match frame 0 exactly and fuse it. Every Result must still equal
 // the reference walk.
 func TestDeltaSharedEngineAcrossClips(t *testing.T) {
 	checkSharedEngineAcrossClips(t, true)
@@ -146,9 +148,9 @@ func TestReplayChainBreaksAcrossClips(t *testing.T) {
 
 // TestStaleMemoSubsystemMutation: a delta-analysis clip run twice with
 // the same Subsystem pointer, the pointee's panel model changed in
-// between, must report the new model's savings. The pooled delta
-// state's fused frames copy a memoized measurement record, so keying
-// it on the pointer would replay the old model's numbers.
+// between, on one engine, must report the new model's savings. Fused
+// frames copy frame −1's memoized measurement record, so keying it on
+// the pointer would replay the old model's numbers.
 func TestStaleMemoSubsystemMutation(t *testing.T) {
 	f := darkFrame(t)
 	seq, err := NewSequence([]*gray.Image{f, f, f, f})
@@ -156,7 +158,11 @@ func TestStaleMemoSubsystemMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := power.DefaultSubsystem
-	pol := Policy{DeltaAnalysis: true, Options: core.Options{DynamicRange: 150, Subsystem: &sub}}
+	pol := Policy{
+		DeltaAnalysis: true,
+		Engine:        core.NewEngine(core.EngineOptions{}),
+		Options:       core.Options{DynamicRange: 150, Subsystem: &sub},
+	}
 	if _, err := Process(seq, pol); err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +179,100 @@ func TestStaleMemoSubsystemMutation(t *testing.T) {
 	for i := range want.Frames {
 		if got.Frames[i].SavingPercent != want.Frames[i].SavingPercent { //hebslint:allow floateq
 			t.Errorf("frame %d: saving %.4f%%, fresh run %.4f%%", i, got.Frames[i].SavingPercent, want.Frames[i].SavingPercent)
+		}
+	}
+}
+
+// TestClipStateEngineScoped: frame −1 belongs to the engine whose clip
+// left it. A one-frame clip of engine A's last frame, run on a fresh
+// engine B, starts cold: no frame fuses, and the result equals the
+// reference walk.
+func TestClipStateEngineScoped(t *testing.T) {
+	fastPath := obs.Default().Counter("video.delta.frames_fastpath_total")
+	seq := steadyClip(t)
+	pol := steadyPolicy()
+	pol.DeltaAnalysis = true
+	pol.Engine = core.NewEngine(core.EngineOptions{Workers: 1})
+	if _, err := Process(seq, pol); err != nil {
+		t.Fatal(err)
+	}
+	last, err := NewSequence(seq.Frames[len(seq.Frames)-1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceWalk(last, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol.Engine = core.NewEngine(core.EngineOptions{Workers: 1})
+	fast0 := fastPath.Value()
+	got, err := Process(last, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused := fastPath.Value() - fast0; fused != 0 {
+		t.Errorf("a fresh engine fused %d frames from another engine's frame −1", fused)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result differs from the reference walk:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestStaleMemoCurveMutation: a caller that edits its curve in place
+// between two clips on one engine must get the edited curve's ranges.
+// Options.Curve is a pointer, so keying it would replay the old range:
+// the classic walk's frame −1 and the zoned walk's zone skip both read
+// that key.
+func TestStaleMemoCurveMutation(t *testing.T) {
+	img, err := sipi.Generate("lena", 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := NewSequence([]*gray.Image{img, img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := core.DefaultCurve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := backlight.Parse("led:2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []backlight.Backend{nil, led} {
+		name := "classic"
+		if b != nil {
+			name = b.Name()
+		}
+		curve := *def
+		pol := Policy{
+			Backend:       b,
+			DeltaAnalysis: true,
+			Engine:        core.NewEngine(core.EngineOptions{Workers: 1}),
+			Options:       core.Options{MaxDistortionPercent: 10, Curve: &curve},
+		}
+		if _, err := Process(seq, pol); err != nil {
+			t.Fatal(err)
+		}
+		curve.Avg = curve.Worst
+		got, err := Process(seq, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *Result
+		if b == nil {
+			want, err = referenceWalk(seq, pol)
+		} else {
+			fresh := pol
+			fresh.Engine = core.NewEngine(core.EngineOptions{Workers: 1})
+			want, err = Process(seq, fresh)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the edited curve replayed the old ranges:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }

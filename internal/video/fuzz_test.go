@@ -138,9 +138,8 @@ func fuzzClip(t *testing.T, script uint64, n uint8, ops int) *Sequence {
 // and CutThreshold {0, 0.15}, Process returns referenceWalk's Result.
 // Each input runs twice on one shared engine, so the second run starts
 // from frame −1 — the first run's last frame with its own range and
-// measurements — and may fuse from it. The pooled delta state also
-// carries across inputs, so a first run can start from an earlier
-// input's last frame; that must match the oracle too.
+// measurements — and may fuse from it. Each input gets a fresh engine,
+// so its first run starts cold and a failing input fails alone too.
 func FuzzClipWalk(f *testing.F) {
 	// testdata/fuzz/FuzzClipWalk/fuse_frame_minus1 cuts away and back
 	// (frames A, B, A) with delta analysis on and no slew limit: the

@@ -5,10 +5,7 @@
 // without re-running a clip.
 package video
 
-import (
-	"hebs/internal/histogram"
-	"hebs/internal/obs"
-)
+import "hebs/internal/obs"
 
 var (
 	mSequences   = obs.NewCounter("video.sequences_total")
@@ -35,29 +32,3 @@ var (
 	gMeanAbsDelta = obs.NewGauge("video.last_mean_abs_delta_beta")
 	gMaxAbsDelta  = obs.NewGauge("video.last_max_abs_delta_beta")
 )
-
-// flightHistHash is FNV-1a over a frame histogram's bins and pixel
-// count — the flight record's scene fingerprint (two frames with equal
-// hashes almost surely share a histogram, hence a plan). Called only
-// when the flight recorder is enabled.
-//
-//hebs:noalloc
-func flightHistHash(h *histogram.Histogram) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	x := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			x ^= v & 0xff
-			x *= prime64
-			v >>= 8
-		}
-	}
-	for _, c := range h.Bins {
-		mix(uint64(c))
-	}
-	mix(uint64(h.N))
-	return x
-}

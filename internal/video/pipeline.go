@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"hebs/internal/core"
@@ -73,10 +72,10 @@ type frameState struct {
 	slew       bool
 	cut        bool
 	// Delta-analysis state (DeltaAnalysis only): identical marks a frame
-	// whose pixels are byte-identical to its predecessor's (frame −1, the
-	// pooled deltaState, for frame 0), replay marks one that resolves its
-	// range from the own-range memo instead of searching, and tileRatio
-	// is changed/total tiles. A fused frame is identical and applied at
+	// whose pixels are byte-identical to its predecessor's (frame −1 for
+	// frame 0), replay marks one that resolves its range from the
+	// own-range memo instead of searching, and tileRatio is
+	// changed/total tiles. A fused frame is identical and applied at
 	// its predecessor's range: it copies the measurements of its copy
 	// source — the measured frame copySrc, or frame −1 when copySrc is
 	// -1 — instead of measuring.
@@ -89,9 +88,21 @@ type frameState struct {
 	done      bool
 }
 
-// clipState is one clip's pooled scratch: the per-frame states plus
-// the index lists of the frames phase C searches (built by the
-// pre-pass) and of phase E's measuring and fused waves.
+// clipState is the classic clip walk's state on its engine's free list
+// (core.Engine.AcquireClipState): one clip's scratch — the per-frame
+// states, the index lists of the frames phase C searches (built by the
+// pre-pass) and of phase E's measuring and fused waves — plus frame −1.
+//
+// Frame −1 (DeltaAnalysis only) is the engine's previous clip's last
+// frame: the tile reference of histogram.FrameDelta, plus the two
+// memos a frame identical to it replays — its own admissible range,
+// which skips the exact range search, and its FrameResult at the
+// applied range, which a fused frame with copy source −1 copies without
+// an engine call. Both replays are exact: range search and measurement
+// are pure functions of (pixels, options), the byte comparison with the
+// reference certifies the pixels, and core.KeyFor fingerprints the
+// options. The tile state carries across clips unconditionally; the
+// memos are dropped when the fingerprint moves or cannot be taken.
 type clipState struct {
 	frames             []frameState
 	search, full, fast []int
@@ -99,17 +110,27 @@ type clipState struct {
 	// closure reads it for both waves, so the two-wave apply costs one
 	// allocation per clip, not two.
 	wave []int
+
+	delta     *histogram.FrameDelta
+	ownRange  int
+	ownValid  bool
+	meas      FrameResult
+	measValid bool
+	key       core.OptionsKey
+	keyOK     bool
 }
 
-// statePool recycles clip state across runs.
-var statePool = sync.Pool{New: func() any { return new(clipState) }}
-
-// getClipState draws clip-sized state from the pool, growing it only
-// when a longer clip arrives.
+// clipStateFor takes eng's most recently released clip state (a new
+// one when it has none) and sizes its scratch for an n-frame clip,
+// growing it only when a longer clip arrives.
 //
 //hebs:noalloc
-func getClipState(n int) *clipState {
-	cs := statePool.Get().(*clipState)
+func clipStateFor(eng *core.Engine, n int) *clipState {
+	cs, _ := eng.AcquireClipState().(*clipState)
+	if cs == nil {
+		//hebs:noalloc-allow an engine's first clip; later clips reuse it
+		cs = new(clipState)
+	}
 	if cap(cs.frames) < n {
 		//hebs:noalloc-allow clip-state growth on first longer clip; amortized to zero in steady state
 		cs.frames = make([]frameState, n)
@@ -123,6 +144,27 @@ func getClipState(n int) *clipState {
 	}
 	cs.search, cs.full, cs.fast = cs.search[:0], cs.full[:0], cs.fast[:0]
 	return cs
+}
+
+// primeDelta shapes the tile reference for w×h frames at
+// histogram.DefaultTileSize and drops frame −1's memos when the
+// geometry or the options fingerprint moved.
+func (cs *clipState) primeDelta(w, h int, opts core.Options) error {
+	key, keyOK := core.KeyFor(opts)
+	if !keyOK || !cs.keyOK || key != cs.key {
+		cs.ownValid, cs.measValid = false, false
+	}
+	cs.key, cs.keyOK = key, keyOK
+	if cs.delta != nil && cs.delta.Matches(w, h, 0) {
+		return nil
+	}
+	cs.ownValid, cs.measValid = false, false
+	if cs.delta == nil {
+		var err error
+		cs.delta, err = histogram.NewFrameDelta(w, h, 0)
+		return err
+	}
+	return cs.delta.Configure(w, h, 0)
 }
 
 // processPipelined is ProcessContext's clip walk; workers is the
@@ -151,25 +193,24 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		return res, clipErr
 	}
 
-	cs := getClipState(n)
-	defer statePool.Put(cs)
+	cs := clipStateFor(eng, n)
+	defer eng.ReleaseClipState(cs)
 	st := cs.frames
 
-	// Frame −1 (DeltaAnalysis only): read the pooled state once, then
-	// invalidate its memos until the clip completes cleanly — the tile
-	// fold below moves the reference to a later frame, so a partial run
-	// must not leave stale range/measurement records paired with it.
-	var ds *deltaState
-	var m1 deltaState
+	// Frame −1 (DeltaAnalysis only): read its memos once; the state
+	// keeps none until the clip completes cleanly — the tile fold below
+	// moves the reference to a later frame, so a partial run must not
+	// leave stale range/measurement records paired with it. ownRng and
+	// ownOK thread the own-range memo through the pre-pass and phase D.
+	var ownRng int
+	var ownOK, m1OK bool
+	var m1 FrameResult
 	if pol.DeltaAnalysis {
-		d, err := acquireDelta(seq.Frames[0].W, seq.Frames[0].H, pol.Options)
-		if err != nil {
+		if err := cs.primeDelta(seq.Frames[0].W, seq.Frames[0].H, pol.Options); err != nil {
 			return nil, err
 		}
-		ds = d
-		defer releaseDelta(ds)
-		m1 = *ds
-		ds.ownValid, ds.measValid = false, false
+		ownRng, ownOK, m1, m1OK = cs.ownRange, cs.ownValid, cs.meas, cs.measValid
+		cs.ownValid, cs.measValid = false, false
 	}
 	var est *histogram.Estimator
 	if pol.ReuseThreshold > 0 {
@@ -194,7 +235,6 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	//   - phase C's list: every frame that neither reuses nor replays.
 	// A histogram costs tens of microseconds against milliseconds of
 	// search and apply per frame, so the pass runs inline.
-	ownRng, ownOK := m1.ownRange, m1.ownValid
 	search := cs.search
 	for i := range st {
 		if err := ctx.Err(); err != nil {
@@ -202,8 +242,8 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		}
 		f := &st[i]
 		t0 := time.Now()
-		if ds != nil {
-			changed, total, err := ds.delta.Update(seq.Frames[i], &f.hist)
+		if pol.DeltaAnalysis {
+			changed, total, err := cs.delta.Update(seq.Frames[i], &f.hist)
 			if err != nil {
 				return nil, err
 			}
@@ -267,12 +307,11 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	// the backlight actually applied.
 	prevBeta := math.NaN()
 	tr := 0
-	// ownRng threads the own-range memo the replay frames resolve to;
 	// prevApply is frame i−1's applied range (frame −1's for frame 0,
 	// -1 when frame −1 has no valid record).
 	prevApply := -1
-	if m1.measValid {
-		prevApply = m1.meas.Range
+	if m1OK {
+		prevApply = m1.Range
 	}
 	for i := 0; i < n; i++ {
 		switch {
@@ -354,7 +393,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	// Results land in per-frame slots; a cancellation keeps the
 	// contiguous completed prefix. The closure takes frame −1's record
 	// by value, so m1 stays off the heap.
-	meas1 := m1.meas
+	meas1 := m1
 	applyFrame := func(i int) error {
 		start := time.Now()
 		fsp := sp.Child("video.frame")
@@ -373,7 +412,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		if st[i].slew {
 			fsp.SetBool("slew_limited", true)
 		}
-		if ds != nil {
+		if pol.DeltaAnalysis {
 			fsp.SetFloat("tile_change_ratio", st[i].tileRatio)
 		}
 		fr := FrameResult{TargetBeta: st[i].target}
@@ -419,8 +458,8 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		fsp.SetFloat("saving_pct", fr.SavingPercent)
 		if rec := obs.Flight(); rec != nil {
 			var hh uint64
-			if pol.ReuseThreshold > 0 || ds != nil {
-				hh = flightHistHash(&st[i].hist) // the pre-pass filled it
+			if pol.ReuseThreshold > 0 || pol.DeltaAnalysis {
+				hh = st[i].hist.Fingerprint() // the pre-pass filled it
 			}
 			rec.Record(obs.FrameRecord{
 				Frame:           pol.frameOffset + i,
@@ -443,7 +482,7 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		return nil
 	}
 	var applyErr error
-	if ds == nil {
+	if !pol.DeltaAnalysis {
 		applyErr = parallel.ForEach(ctx, n, workers, applyFrame)
 	} else {
 		// Fused frames copy measurements from their copy sources, so the
@@ -478,12 +517,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 	for i := range st {
 		res.Frames[i] = st[i].fr
 	}
-	if ds != nil {
-		// The clip completed cleanly: re-validate the pooled memoizations
-		// against the tile reference (now the last frame), which becomes
-		// the next clip's frame −1.
-		ds.ownRange, ds.ownValid = ownRng, ownOK
-		ds.meas, ds.measValid = st[n-1].fr, true
+	if pol.DeltaAnalysis {
+		// The clip completed cleanly: re-validate the memos against the
+		// tile reference (now the last frame), which becomes the engine's
+		// next clip's frame −1.
+		cs.ownRange, cs.ownValid = ownRng, ownOK
+		cs.meas, cs.measValid = st[n-1].fr, true
 	}
 	return finish(nil)
 }

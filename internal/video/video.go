@@ -146,11 +146,13 @@ type Policy struct {
 	// in core.Options.
 	Options core.Options
 	// Engine, when non-nil, runs the per-frame pipeline through the
-	// given engine so its frame-buffer pools persist across clips —
-	// the steady-state zero-allocation path. Nil means a private
-	// engine per Process call (pooling still amortizes across the
-	// clip's frames). Either way plans come from the process-wide plan
-	// cache unless the engine was built with caching disabled.
+	// given engine so its frame-buffer pools and its clip state — the
+	// per-clip scratch and, with DeltaAnalysis, frame −1 — persist
+	// across clips: the steady-state zero-allocation path. Nil means a
+	// private engine per Process call, so each call starts cold
+	// (pooling still amortizes across the clip's frames). Either way
+	// plans come from the process-wide plan cache unless the engine was
+	// built with caching disabled.
 	Engine *core.Engine
 	// Workers bounds the parallelism of the clip scheduler, which runs
 	// every classic clip as analyze → govern → apply: 0 or 1 (the

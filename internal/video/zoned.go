@@ -50,7 +50,7 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 	zones := g.Zones()
 	eng := pol.Engine
 	if eng == nil {
-		// The default engine joins the process-wide sharded plan cache,
+		// The default engine joins the process-wide plan cache,
 		// which holds many zone grids' worth of plans — no per-walk
 		// cache sizing needed.
 		eng = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
