@@ -38,7 +38,7 @@ var keptExports = map[string]string{
 	"internal/histogram.Histogram.Percentile": "percentile cut points for the saturation baselines; kept beside CDF as the histogram's query API",
 	"internal/histogram.Uniform":              "Eq. 4's uniform target; the oracle TestSolveFlattensHistogram measures GHE against",
 	"internal/histogram.L1CDFDistance":        "Eq. 4's objective; the oracle TestSolveFlattensHistogram measures GHE against",
-	"internal/chart.MinRangeExact":            "the reference for Engine.minRangeExact; the range-search contract test compares the two",
+	"internal/chart.MinRangeExact":            "the reference for core's minRangeExact; the range-search contract test compares the two",
 	"internal/sipi.Names":                     "the suite's canonical image order",
 	"internal/core.Engine.PoolStats":          "the pool accounting that the leak checks read through PoolStats.InUse",
 	"internal/core.PoolStats.InUse":           "the buffer-leak gate the engine and video tests assert after every run",

@@ -85,30 +85,42 @@ func dlsLUT(k int, brightness bool) (*transform.LUT, error) {
 	return transform.ContrastScale(beta)
 }
 
-// dls runs the shared DLS policy: the smallest β (deepest dimming)
-// whose compensated transform stays within the distortion budget.
-// Distortion is non-increasing in β, so bisection over the 255 integer
-// β codes finds the optimum exactly.
-func dls(img *gray.Image, maxDistortion float64, brightness bool, metric chart.Metric, sub power.Subsystem) (*Result, error) {
-	if err := validateBudget(img, maxDistortion); err != nil {
-		return nil, err
-	}
+// crossing bisects the integer parameter k over [1, 255] (β = k/255)
+// for deep dimming within the budget, measuring the transform
+// lutFor(k). D(k) is not monotone, so the result is a local crossing,
+// not necessarily the smallest passing k: D(k) ≤ maxDistortion, and
+// k = 1 or D(k−1) > maxDistortion (255 when no probe passes). Which
+// crossing it finds depends on the probe path.
+func crossing(img *gray.Image, maxDistortion float64, metric chart.Metric, lutFor func(k int) (*transform.LUT, error)) (int, error) {
 	lo, hi := 1, transform.Levels-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		lut, err := dlsLUT(mid, brightness)
+		lut, err := lutFor(mid)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		d, err := chart.TransformDistortion(img, lut, metric)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if d <= maxDistortion {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
+	}
+	return lo, nil
+}
+
+// dls runs the shared DLS policy: the β code the crossing search
+// returns for the compensated transform.
+func dls(img *gray.Image, maxDistortion float64, brightness bool, metric chart.Metric, sub power.Subsystem) (*Result, error) {
+	if err := validateBudget(img, maxDistortion); err != nil {
+		return nil, err
+	}
+	lo, err := crossing(img, maxDistortion, metric, func(k int) (*transform.LUT, error) { return dlsLUT(k, brightness) })
+	if err != nil {
+		return nil, err
 	}
 	lut, err := dlsLUT(lo, brightness)
 	if err != nil {
@@ -175,30 +187,19 @@ func cbcsLUT(h *histogram.Histogram, width int) (*transform.LUT, int, error) {
 }
 
 // CBCS solves the concurrent brightness/contrast scaling policy: the
-// narrowest band (deepest dimming, β = width/255) whose spread
-// transform stays within the distortion budget, with the band placed
-// over the histogram's densest stretch.
+// band width (β = width/255) the crossing search returns for the spread
+// transform, with the band placed over the histogram's densest stretch.
 func CBCS(img *gray.Image, maxDistortion float64, metric chart.Metric, sub power.Subsystem) (*Result, error) {
 	if err := validateBudget(img, maxDistortion); err != nil {
 		return nil, err
 	}
 	h := histogram.Of(img)
-	lo, hi := 1, transform.Levels-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		lut, _, err := cbcsLUT(h, mid)
-		if err != nil {
-			return nil, err
-		}
-		d, err := chart.TransformDistortion(img, lut, metric)
-		if err != nil {
-			return nil, err
-		}
-		if d <= maxDistortion {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	lo, err := crossing(img, maxDistortion, metric, func(k int) (*transform.LUT, error) {
+		lut, _, err := cbcsLUT(h, k)
+		return lut, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	lut, gl, err := cbcsLUT(h, lo)
 	if err != nil {

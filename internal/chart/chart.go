@@ -9,9 +9,9 @@
 package chart
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -19,6 +19,7 @@ import (
 	"hebs/internal/fit"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
+	"hebs/internal/parallel"
 	"hebs/internal/power"
 	"hebs/internal/quality"
 	"hebs/internal/sipi"
@@ -26,33 +27,12 @@ import (
 )
 
 // Metric measures the distortion (in percent) between the original
-// image and the brightness-normalized displayed image.
-type Metric func(orig, displayed *gray.Image) (float64, error)
-
-// UQIMetric is the paper's distortion measure: (1 − UQI) × 100.
-func UQIMetric(orig, displayed *gray.Image) (float64, error) {
-	return quality.UQIDistortion(orig, displayed)
-}
-
-// SSIMMetric is the future-work alternative: (1 − SSIM) × 100.
-func SSIMMetric(orig, displayed *gray.Image) (float64, error) {
-	s, err := quality.SSIM(orig, displayed, quality.UQIOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return quality.DistortionPercent(s), nil
-}
-
-// MSSSIMMetric is the multi-scale variant: (1 − MS-SSIM) × 100.
-func MSSSIMMetric(orig, displayed *gray.Image) (float64, error) {
-	return quality.MSSSIMMetric(orig, displayed)
-}
-
-// SSIMGaussianMetric is the reference Gaussian-window SSIM:
-// (1 − SSIM_g) × 100.
-func SSIMGaussianMetric(orig, displayed *gray.Image) (float64, error) {
-	return quality.SSIMGaussianMetric(orig, displayed)
-}
+// image F and what the viewer perceives of the transformed one, the
+// reconstruction g(F) (see TransformDistortion). recon holds g as
+// lookup tables: one LUT for a global transform, or one per zone of a
+// local-dimming frame. A nil Metric means quality.UQIMetric, the
+// paper's measure; quality also has the future-work alternatives.
+type Metric func(orig *gray.Image, recon quality.Recon) (float64, error)
 
 // Sample is one (image, target range) measurement.
 type Sample struct {
@@ -94,14 +74,20 @@ func DefaultRanges() []int {
 // (and the viewer's brightness/contrast adaptation) undoes, so only the
 // irreversible merging of grayscale levels registers as distortion.
 func TransformDistortion(img *gray.Image, lut *transform.LUT, metric Metric) (float64, error) {
-	if metric == nil {
-		metric = UQIMetric
-	}
 	recon, err := lut.Reconstruction()
 	if err != nil {
 		return 0, err
 	}
-	return metric(img, recon.Apply(img))
+	return Distortion(img, quality.Recon{LUT: recon}, metric)
+}
+
+// Distortion is metric's distortion of orig against its reconstruction
+// recon; a nil metric is quality.UQIMetric, the paper's measure.
+func Distortion(orig *gray.Image, recon quality.Recon, metric Metric) (float64, error) {
+	if metric == nil {
+		metric = quality.UQIMetric
+	}
+	return metric(orig, recon)
 }
 
 // MergedPixelPercent returns the percentage of pixels whose value is
@@ -127,16 +113,35 @@ func MergedPixelPercent(img *gray.Image, lut *transform.LUT) (float64, error) {
 	return 100 * float64(merged) / float64(len(img.Pix)), nil
 }
 
+// rangeRecons holds the reconstruction of linear compression to each
+// range r, built once: every exact range search reads ~8 of them.
+var rangeRecons = sync.OnceValues(func() (*[transform.Levels]*transform.LUT, error) {
+	var t [transform.Levels]*transform.LUT
+	for r := range t {
+		lut, err := transform.ScaleToRange(0, uint8(r))
+		if err != nil {
+			return nil, err
+		}
+		if t[r], err = lut.Reconstruction(); err != nil {
+			return nil, err
+		}
+	}
+	return &t, nil
+})
+
 // RangeReductionDistortion measures the distortion of plainly setting
 // the image's dynamic range to r (linear compression, Section 5.1c's
 // "we set the dynamic range of a benchmark image to some target
 // value") — one cell of the Figure 7 sweep.
 func RangeReductionDistortion(img *gray.Image, r int, metric Metric) (float64, error) {
-	lut, err := transform.ScaleToRange(0, uint8(r))
+	if r < 0 || r >= transform.Levels {
+		return 0, fmt.Errorf("chart: target range %d outside [0,255]", r)
+	}
+	recons, err := rangeRecons()
 	if err != nil {
 		return 0, err
 	}
-	return TransformDistortion(img, lut, metric)
+	return Distortion(img, quality.Recon{LUT: recons[r]}, metric)
 }
 
 // DistortionAtRange computes one characterization sample: the linear
@@ -194,59 +199,29 @@ func Build(suite []sipi.NamedImage, opts Options) (*Curve, error) {
 			return nil, fmt.Errorf("chart: duplicate target range %d", r)
 		}
 	}
-	metric := opts.Metric
-	if metric == nil {
-		metric = UQIMetric
-	}
 	sub := power.DefaultSubsystem
 	if opts.Subsystem != nil {
 		sub = *opts.Subsystem
 	}
 
 	c := &Curve{Ranges: sorted}
-	// Sweep cells are independent: fan out across images (bounded by
-	// the CPU count), filling pre-indexed slots so a parallel run is
-	// bit-identical to a serial one.
+	// Sweep cells are independent: fan out across images, filling
+	// pre-indexed slots so a parallel run is bit-identical to a serial
+	// one.
 	samples := make([]Sample, len(suite)*len(sorted))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(suite) {
-		workers = len(suite)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ni := suite[i]
-				for j, r := range sorted {
-					d, s, err := DistortionAtRange(ni.Image, r, metric, sub)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("chart: %s at range %d: %w", ni.Name, r, err)
-						}
-						mu.Unlock()
-						return
-					}
-					samples[i*len(sorted)+j] = Sample{Name: ni.Name, Range: r, Distortion: d, Saving: s}
-				}
+	err := parallel.ForEach(context.Background(), len(suite), 0, func(i int) error {
+		ni := suite[i]
+		for j, r := range sorted {
+			d, s, err := DistortionAtRange(ni.Image, r, opts.Metric, sub)
+			if err != nil {
+				return fmt.Errorf("chart: %s at range %d: %w", ni.Name, r, err)
 			}
-		}()
-	}
-	for i := range suite {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			samples[i*len(sorted)+j] = Sample{Name: ni.Name, Range: r, Distortion: d, Saving: s}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	c.Samples = samples
 	perRangeSum := make(map[int]float64)
@@ -273,7 +248,6 @@ func Build(suite []sipi.NamedImage, opts Options) (*Curve, error) {
 	// conservative and makes MinRange's bisection well-defined.
 	enforceNonIncreasing(avgPts)
 	enforceNonIncreasing(worstPts)
-	var err error
 	if c.Avg, err = fit.NewLinear(avgPts); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,14 @@
 package chart
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
+	"hebs/internal/gray"
 	"hebs/internal/power"
+	"hebs/internal/quality"
 	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
@@ -139,6 +143,32 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildReturnsMetricError: a metric that always fails makes Build
+// return that error instead of blocking. Each image's worker stops at
+// its first failure, so a pool that hands images to workers over an
+// unbuffered channel blocks once every worker has stopped.
+func TestBuildReturnsMetricError(t *testing.T) {
+	suite, err := sipi.Suite(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := errors.New("metric failed")
+	metric := func(*gray.Image, quality.Recon) (float64, error) { return 0, failing }
+	done := make(chan error, 1)
+	go func() {
+		_, err := Build(suite, Options{Metric: metric})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, failing) {
+			t.Errorf("Build error = %v, want the metric's", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Build did not return within 10 s after its metric failed")
+	}
+}
+
 func TestMinRangeInvertsCurve(t *testing.T) {
 	c, err := Build(smallSuite(t), Options{Ranges: []int{50, 100, 150, 200, 250}})
 	if err != nil {
@@ -263,7 +293,7 @@ func TestSSIMMetricUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RangeReductionDistortion(img, 80, SSIMMetric)
+	d, err := RangeReductionDistortion(img, 80, quality.SSIMMetric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +301,7 @@ func TestSSIMMetricUsable(t *testing.T) {
 		t.Errorf("SSIM distortion = %v out of scale", d)
 	}
 	// SSIM distortion at full range is also ~0.
-	d254, err := RangeReductionDistortion(img, 254, SSIMMetric)
+	d254, err := RangeReductionDistortion(img, 254, quality.SSIMMetric)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,10 +280,14 @@ func DefaultCurve() (*chart.Curve, error) {
 	return defaultCurve, defaultCurveErr
 }
 
-// selectRange performs step 1 (D_max → R) for the two modes that need
-// no pixels: a direct DynamicRange and the characteristic-curve
-// lookup. Engine.selectRange runs the per-image ExactSearch itself.
-func selectRange(opts Options) (r int, predicted float64, err error) {
+// selectRange performs step 1 (D_max → R): a direct DynamicRange, the
+// per-image ExactSearch (minRangeExact) or the characteristic-curve
+// lookup. Callers validate opts first, so a NaN budget never reaches
+// the search.
+func selectRange(img *gray.Image, opts Options) (r int, predicted float64, err error) {
+	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
+		return minRangeExact(img, opts.MaxDistortionPercent, opts.Metric)
+	}
 	if opts.DynamicRange != 0 {
 		if opts.DynamicRange < 1 || opts.DynamicRange > transform.Levels-1 {
 			return 0, 0, fmt.Errorf("core: dynamic range %d outside [1,255]", opts.DynamicRange)

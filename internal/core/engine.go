@@ -36,6 +36,7 @@ import (
 	"hebs/internal/histogram"
 	"hebs/internal/obs"
 	"hebs/internal/power"
+	"hebs/internal/quality"
 	"hebs/internal/rgb"
 	"hebs/internal/transform"
 )
@@ -112,13 +113,6 @@ type Engine struct {
 	grayPool sync.Pool
 	rgbPool  sync.Pool
 	histPool sync.Pool
-
-	// rangeRecon lazily caches, per target range r, the reconstruction
-	// LUT Φ⁻¹∘Φ of plain linear compression to r. The LUT depends only
-	// on r, and the exact range search evaluates O(log 255) of them per
-	// search — cached, the search's only per-candidate work is the
-	// pixel remap into pooled scratch plus the metric.
-	rangeRecon [transform.Levels]atomic.Pointer[transform.LUT]
 
 	gets, puts, misses atomic.Int64
 
@@ -359,62 +353,17 @@ func (r *ColorResult) Release() {
 	r.Result.Release()
 }
 
-// reconForRange returns the reconstruction LUT of linear compression
-// to range r, cached on the engine.
-func (e *Engine) reconForRange(r int) (*transform.LUT, error) {
-	if recon := e.rangeRecon[r].Load(); recon != nil {
-		return recon, nil
-	}
-	lut, err := transform.ScaleToRange(0, uint8(r))
-	if err != nil {
-		return nil, err
-	}
-	recon, err := lut.Reconstruction()
-	if err != nil {
-		return nil, err
-	}
-	// A concurrent search may store its own copy first; either value is
-	// identical, so a plain store is fine.
-	e.rangeRecon[r].Store(recon)
-	return recon, nil
-}
-
-// rangeReductionDistortion is chart.RangeReductionDistortion through
-// the engine's reconstruction cache and a caller-provided scratch
-// buffer: numerically identical, allocation-free once warm.
-func (e *Engine) rangeReductionDistortion(img *gray.Image, r int, metric chart.Metric, scratch *gray.Image) (float64, error) {
-	recon, err := e.reconForRange(r)
-	if err != nil {
-		return 0, err
-	}
-	if metric == nil {
-		metric = chart.UQIMetric
-	}
-	if err := recon.ApplyInto(img, scratch); err != nil {
-		return 0, err
-	}
-	return metric(img, scratch)
-}
-
-// minRangeExact is chart.MinRangeExact plus the predicted distortion,
-// run on pooled scratch state: the same local crossing of the
-// non-monotone D(R) over [2, 255] (D(R) ≤ the budget, and R = 2 or
-// D(R−1) > the budget; R = 255 when no probe passes) and D(R), the last
-// passing probe's value, measured anew only when none passed. The
-// bisection is one serial chain of probes. scratch (img's geometry) is
-// the probe buffer; nil draws one from the engine pool. The zoned walk
-// passes each zone slot's persistent buffer so per-zone searches stop
-// cycling the pool between zone and frame geometries.
-func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric, scratch *gray.Image) (r int, predicted float64, err error) {
-	if scratch == nil {
-		scratch = e.getGray(img.W, img.H)
-		defer e.putGray(scratch)
-	}
+// minRangeExact is chart.MinRangeExact plus the predicted distortion:
+// the same local crossing of the non-monotone D(R) over [2, 255] (D(R)
+// ≤ the budget, and R = 2 or D(R−1) > the budget; R = 255 when no probe
+// passes) and D(R), the last passing probe's value, measured anew only
+// when none passed. The bisection is one serial chain of probes.
+func minRangeExact(img *gray.Image, maxDistortion float64, metric chart.Metric) (r int, predicted float64, err error) {
 	lo, hi := 2, transform.Levels-1
 	hiProbed := false // a passing probe measured hi into predicted
 	for lo < hi {
 		mid := (lo + hi) / 2
-		d, err := e.rangeReductionDistortion(img, mid, metric, scratch)
+		d, err := chart.RangeReductionDistortion(img, mid, metric)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -425,24 +374,12 @@ func (e *Engine) minRangeExact(img *gray.Image, maxDistortion float64, metric ch
 		}
 	}
 	if !hiProbed {
-		predicted, err = e.rangeReductionDistortion(img, lo, metric, scratch)
+		predicted, err = chart.RangeReductionDistortion(img, lo, metric)
 		if err != nil {
 			return 0, 0, err
 		}
 	}
 	return lo, predicted, nil
-}
-
-// selectRange is step 1 (D_max → R) through the engine: the
-// ExactSearch path runs against the per-range reconstruction cache and
-// the probe buffer scratch (nil = pooled; see minRangeExact); every
-// other mode is the package-level selectRange. Callers validate opts
-// first, so a NaN budget never reaches the search.
-func (e *Engine) selectRange(img *gray.Image, opts Options, scratch *gray.Image) (r int, predicted float64, err error) {
-	if opts.ExactSearch && opts.DynamicRange == 0 && opts.MaxDistortionPercent > 0 {
-		return e.minRangeExact(img, opts.MaxDistortionPercent, opts.Metric, scratch)
-	}
-	return selectRange(opts)
 }
 
 // SelectRange runs step 1 alone — the D_max → R admissible-range
@@ -462,7 +399,7 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 		return 0, 0, err
 	}
 	_, rsDone := stage(obs.SpanFromContext(ctx), stageRangeSelect)
-	r, predicted, err = e.selectRange(img, opts, nil)
+	r, predicted, err = selectRange(img, opts)
 	rsDone.end(err)
 	return r, predicted, err
 }
@@ -496,26 +433,17 @@ func (e *Engine) planFor(ctx context.Context, parent *obs.Span, h *histogram.His
 	return plan, false, nil
 }
 
-// transformDistortion is chart.TransformDistortion evaluated through
-// the engine's pooled buffers and the plan's cached reconstruction
-// LUT: numerically identical (integer pixel remap + the exact
-// running-sum window walker), allocation-free in steady state.
+// transformDistortion is chart.TransformDistortion read through the
+// plan's cached reconstruction LUT: numerically identical and
+// allocation-free.
 //
 //hebs:noalloc
-func (e *Engine) transformDistortion(img *gray.Image, plan *Plan, metric chart.Metric) (float64, error) {
+func transformDistortion(img *gray.Image, plan *Plan, metric chart.Metric) (float64, error) {
 	recon, err := plan.reconstruction()
 	if err != nil {
 		return 0, err
 	}
-	if metric == nil {
-		metric = chart.UQIMetric
-	}
-	displayed := e.getGray(img.W, img.H)
-	defer e.putGray(displayed)
-	if err := recon.ApplyInto(img, displayed); err != nil {
-		return 0, err
-	}
-	return metric(img, displayed)
+	return chart.Distortion(img, quality.Recon{LUT: recon}, metric)
 }
 
 // Process runs the full HEBS pipeline on an image — Analyze (range
@@ -552,7 +480,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 		return nil, err
 	}
 	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err := e.selectRange(img, opts, nil)
+	r, predicted, err := selectRange(img, opts)
 	if opts.DynamicRange != 0 && err == nil {
 		// A forced range is a lookup, not a search: it keeps its span so
 		// the trace shows every Figure 4 stage, but only range decisions
@@ -614,7 +542,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 		return nil, err
 	}
 	_, distDone := stage(sp, stageDistortion)
-	res.AchievedDistortion, err = e.transformDistortion(img, plan, opts.Metric)
+	res.AchievedDistortion, err = transformDistortion(img, plan, opts.Metric)
 	distDone.end(err)
 	if err != nil {
 		res.Release()

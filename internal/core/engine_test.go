@@ -11,6 +11,7 @@ import (
 	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
+	"hebs/internal/quality"
 	"hebs/internal/rgb"
 	"hebs/internal/sipi"
 )
@@ -131,7 +132,7 @@ func TestEngineStagesComposeLikeProcess(t *testing.T) {
 	}
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	r, _, err := eng.selectRange(img, opts, nil)
+	r, _, err := selectRange(img, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestEngineProcessCancellationMidway(t *testing.T) {
 	eng := NewEngine(EngineOptions{PlanCacheSize: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cancellingMetric := func(a, b *gray.Image) (float64, error) {
+	cancellingMetric := func(a *gray.Image, g quality.Recon) (float64, error) {
 		cancel()
 		// Surface the cancellation from inside the pipeline.
 		return 0, ctx.Err()
@@ -230,6 +231,55 @@ func TestEngineProcessCancellationMidway(t *testing.T) {
 	}
 	if inUse := eng.PoolStats().InUse(); inUse != 0 {
 		t.Fatalf("pool leak after mid-run cancellation: %d buffers in use", inUse)
+	}
+}
+
+// TestPoolTraffic pins how many pooled buffers a warm frame draws: an
+// ExactSearch Process takes the histogram and the transformed frame,
+// and a ProcessZoned that replays nothing takes its transformed frame
+// alone. The distortion metric reads the reconstruction tables, so no
+// search probe or measurement takes a frame.
+func TestPoolTraffic(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	gets := func(run func() error) int64 {
+		t.Helper()
+		before := eng.PoolStats().Gets
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return eng.PoolStats().Gets - before
+	}
+	opts := Options{MaxDistortionPercent: 10, ExactSearch: true}
+	process := func(name string) func() error {
+		return func() error {
+			res, err := eng.Process(ctx, testImg(t, name), opts)
+			res.Release()
+			return err
+		}
+	}
+	gets(process("lena"))
+	if n := gets(process("lena")); n != 2 {
+		t.Errorf("warm ExactSearch Process drew %d pooled buffers, want 2", n)
+	}
+	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 4, Cols: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoned := func(name string) func() error {
+		return func() error {
+			res, err := eng.ProcessZoned(ctx, testImg(t, name), opts, led, nil)
+			res.Release()
+			return err
+		}
+	}
+	gets(zoned("lena"))
+	// Every zone of baboon differs from lena's, so nothing replays.
+	if n := gets(zoned("baboon")); n != 1 {
+		t.Errorf("non-replay ProcessZoned drew %d pooled buffers, want 1", n)
+	}
+	if inUse := eng.PoolStats().InUse(); inUse != 0 {
+		t.Errorf("%d pooled buffers still in use", inUse)
 	}
 }
 
@@ -277,16 +327,15 @@ func TestEngineProcessColorRelease(t *testing.T) {
 // zero budget exercises that path on an image whose reductions all
 // lose a level.
 func TestMinRangeExactMeasuresEachRangeOnce(t *testing.T) {
-	eng := NewEngine(EngineOptions{})
 	for _, fx := range []string{"lena", "baboon"} {
 		img := testImg(t, fx)
 		for _, budget := range []float64{0, 5, 10, 20} {
 			calls := 0
-			metric := func(a, b *gray.Image) (float64, error) {
+			metric := func(a *gray.Image, g quality.Recon) (float64, error) {
 				calls++
-				return chart.UQIMetric(a, b)
+				return quality.UQIMetric(a, g)
 			}
-			r, predicted, err := eng.minRangeExact(img, budget, metric, nil)
+			r, predicted, err := minRangeExact(img, budget, metric)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +344,7 @@ func TestMinRangeExactMeasuresEachRangeOnce(t *testing.T) {
 			for lo < hi {
 				mid := (lo + hi) / 2
 				ranges++
-				d, err := chart.RangeReductionDistortion(img, mid, chart.UQIMetric)
+				d, err := chart.RangeReductionDistortion(img, mid, quality.UQIMetric)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -311,7 +360,7 @@ func TestMinRangeExactMeasuresEachRangeOnce(t *testing.T) {
 			if calls != ranges {
 				t.Errorf("%s budget %v: %d measurements of %d distinct ranges", fx, budget, calls, ranges)
 			}
-			fresh, err := chart.RangeReductionDistortion(img, r, chart.UQIMetric)
+			fresh, err := chart.RangeReductionDistortion(img, r, quality.UQIMetric)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,10 +381,9 @@ func TestMinRangeExactMatchesChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{})
 	for _, ni := range suite {
 		for _, budget := range []float64{5, 10, 20} {
-			r, predicted, err := eng.minRangeExact(ni.Image, budget, nil, nil)
+			r, predicted, err := minRangeExact(ni.Image, budget, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,6 +36,7 @@ import (
 	"hebs/internal/obs"
 	"hebs/internal/parallel"
 	"hebs/internal/power"
+	"hebs/internal/quality"
 	"hebs/internal/transform"
 )
 
@@ -226,10 +227,6 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		return nil, &ZoneGridError{Rows: g.Rows, Cols: g.Cols, W: img.W, H: img.H}
 	}
 	zones := g.Zones()
-	metric := opts.Metric
-	if metric == nil {
-		metric = chart.UQIMetric
-	}
 
 	parent := opts.Trace
 	if parent == nil {
@@ -263,7 +260,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		z.mValid = false
 		z.plan = nil
 		copyRect(img, z.img, z.x0, z.y0)
-		r, _, err := e.selectRange(z.img, opts, z.scratch)
+		r, _, err := selectRange(z.img, opts)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -289,8 +286,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 
 	// Frame-level replay decision, before the fan-out: only when every
 	// zone replays is the reconstruction (and hence the frame metric)
-	// identical to the memoized run, letting the recon buffer be
-	// skipped entirely.
+	// identical to the memoized run.
 	replayAll := st.frameValid
 	if replayAll {
 		for k := range st.slots {
@@ -304,13 +300,8 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	// Phase C — per-zone Plan/Apply/measure. Replaying zones remap Λ
 	// from the memoized plan (the output buffer is always written
 	// fresh) and reuse their stored measurements; computing zones run
-	// the full stage and store the memo.
+	// the full stage and store the memo; each sets st.recons[k].
 	out := e.getGray(img.W, img.H)
-	var recon *gray.Image
-	if !replayAll {
-		recon = e.getGray(img.W, img.H)
-		defer e.putGray(recon)
-	}
 	results := make([]ZoneResult, zones)
 	err = parallel.ForEach(ctx, zones, e.workers, func(k int) error {
 		z := &st.slots[k]
@@ -323,14 +314,9 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 			if err := applyLUTRect(z.plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
 				return err
 			}
-			if recon != nil {
-				reconLUT, err := z.plan.reconstruction()
-				if err != nil {
-					return err
-				}
-				if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
-					return err
-				}
+			var err error
+			if st.recons[k], err = z.plan.reconstruction(); err != nil {
+				return err
 			}
 			r := z.res
 			r.PlanCached = true
@@ -349,17 +335,10 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		if err := applyLUTRect(plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
 			return err
 		}
-		reconLUT, err := plan.reconstruction()
-		if err != nil {
+		if st.recons[k], err = plan.reconstruction(); err != nil {
 			return err
 		}
-		if err := applyLUTRect(reconLUT, img, recon, z.x0, z.y0, z.x1, z.y1); err != nil {
-			return err
-		}
-		// The zone's own reconstruction is a rectangle of the frame
-		// recon just written — copy it out instead of remapping again.
-		copyRect(recon, z.scratch, z.x0, z.y0)
-		d, err := metric(z.img, z.scratch)
+		d, err := chart.Distortion(z.img, quality.Recon{LUT: st.recons[k]}, opts.Metric)
 		if err != nil {
 			return fmt.Errorf("core: zone %d distortion: %w", k, err)
 		}
@@ -409,7 +388,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		mZonedFrameReplays.Inc()
 		sp.SetBool("zoned_frame_replay", true)
 	} else {
-		res.AchievedDistortion, err = metric(img, recon)
+		res.AchievedDistortion, err = chart.Distortion(img, quality.Recon{Zones: st.recons, XCuts: st.xcuts, YCuts: st.ycuts}, opts.Metric)
 		if err != nil {
 			res.Release()
 			return nil, err

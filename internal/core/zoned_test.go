@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"hebs/internal/backlight"
-	"hebs/internal/chart"
 	"hebs/internal/gray"
 	"hebs/internal/power"
+	"hebs/internal/quality"
 	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
@@ -435,10 +435,11 @@ func TestZonedMatchesPerZoneProcess(t *testing.T) {
 						t.Fatalf("%s: pixel %d covered by %d zones", name, i, c)
 					}
 				}
-				d, err := chart.UQIMetric(img, mosaic)
+				q, err := quality.UQI(img, mosaic, quality.UQIOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				d := quality.DistortionPercent(q)
 				//hebslint:allow floateq bit-identity is the contract under test
 				if zr.AchievedDistortion != d || zr.PowerBefore != before || zr.PowerAfter != after {
 					t.Errorf("%s: frame D=%v P=(%v,%v), per-zone oracle D=%v P=(%v,%v)",

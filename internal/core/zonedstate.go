@@ -19,8 +19,7 @@
 //     trust model as the plan cache's exact-match contract.
 //   - a frame-level distortion memo: when every zone replays, the
 //     whole-frame reconstruction is identical too, so the frame-wide
-//     metric is replayed and the reconstruction buffer never
-//     materializes.
+//     metric is replayed instead of walking the frame again.
 //
 // Certification is always by full byte comparison against state-owned
 // buffers — never a checksum, never engine-pooled memory that another
@@ -46,13 +45,13 @@ import (
 	"hebs/internal/histogram"
 	"hebs/internal/invariant"
 	"hebs/internal/obs"
+	"hebs/internal/transform"
 )
 
 // zoneSlot is one zone's persistent state across calls.
 type zoneSlot struct {
 	x0, y0, x1, y1 int
 	img            *gray.Image         // state-owned reference copy of the zone's pixels
-	scratch        *gray.Image         // state-owned zone-sized probe/recon scratch
 	hist           histogram.Histogram // histogram of img
 	r              int                 // analyzed admissible range of img
 	valid          bool                // img/hist/r describe a sealed run's pixels
@@ -92,6 +91,10 @@ type zonedState struct {
 	frameValid bool
 	frameDist  float64
 
+	// The frame metric's zone LUTs (set in phase C) and grid cuts.
+	recons       []*transform.LUT
+	xcuts, ycuts []int
+
 	// Phase scratch reused across calls.
 	rs        []int
 	targets   []float64
@@ -116,15 +119,18 @@ func (st *zonedState) configure(w, h int, g backlight.Grid) {
 	st.w, st.h, st.rows, st.cols = w, h, g.Rows, g.Cols
 	zones := g.Zones()
 	st.slots = grow(st.slots, zones)
+	st.xcuts, st.ycuts = grow(st.xcuts, g.Cols+1), grow(st.ycuts, g.Rows+1)
 	for k := range st.slots {
 		z := &st.slots[k]
 		x0, y0, x1, y1 := g.ZoneRect(k, w, h)
 		z.x0, z.y0, z.x1, z.y1 = x0, y0, x1, y1
+		st.xcuts[k%g.Cols+1], st.ycuts[k/g.Cols+1] = x1, y1
 		if z.img == nil || z.img.W != x1-x0 || z.img.H != y1-y0 {
 			z.img = gray.New(x1-x0, y1-y0)
-			z.scratch = gray.New(x1-x0, y1-y0)
 		}
 	}
+	st.xcuts[0], st.ycuts[0] = 0, 0
+	st.recons = grow(st.recons, zones)
 	st.rs = grow(st.rs, zones)
 	st.targets = grow(st.targets, zones)
 	st.betas = grow(st.betas, zones)

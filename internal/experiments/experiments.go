@@ -18,6 +18,7 @@ import (
 	"hebs/internal/driver"
 	"hebs/internal/parallel"
 	"hebs/internal/power"
+	"hebs/internal/quality"
 	"hebs/internal/report"
 	"hebs/internal/sipi"
 	"hebs/internal/transform"
@@ -443,10 +444,10 @@ func AblationMetrics(cfg Config, budget float64) ([]AblationMetricRow, error) {
 		name string
 		m    chart.Metric
 	}{
-		{"uqi", chart.UQIMetric},
-		{"ssim", chart.SSIMMetric},
-		{"ssim-gauss", chart.SSIMGaussianMetric},
-		{"ms-ssim", chart.MSSSIMMetric},
+		{"uqi", quality.UQIMetric},
+		{"ssim", quality.SSIMMetric},
+		{"ssim-gauss", quality.SSIMGaussianMetric},
+		{"ms-ssim", quality.MSSSIMMetric},
 	}
 	var rows []AblationMetricRow
 	for _, mt := range metrics {

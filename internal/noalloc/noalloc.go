@@ -51,7 +51,7 @@ type Annotation struct {
 	// ("internal/gray"); "." for the root package.
 	PkgDir string
 	// Func is the display name: "ApplyLUTPacked" or
-	// "(*Engine).transformDistortion" for methods.
+	// "(*FrameDelta).Update" for methods.
 	Func string
 	// File is the source file relative to the module root.
 	File string

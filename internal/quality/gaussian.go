@@ -79,14 +79,11 @@ func SSIMGaussian(a, b *gray.Image) (float64, error) {
 	if w < 3 || h < 3 {
 		// Degenerate: fall back to the uniform-window SSIM, which has a
 		// whole-image mode for tiny inputs.
-		return SSIM(a, b, UQIOptions{})
+		s, _, err := measure(a, b, Recon{}, UQIOptions{}, ssimTerms)
+		return s, err
 	}
-	const (
-		c1 = (0.01 * 255) * (0.01 * 255)
-		c2 = (0.03 * 255) * (0.03 * 255)
-	)
 	radius := 5
-	if r := minInt(w, h)/2 - 1; r < radius {
+	if r := min(w, h)/2 - 1; r < radius {
 		radius = r // shrink the kernel for small images
 	}
 	kernel := gaussianKernel(radius, 1.5)
@@ -130,12 +127,9 @@ func SSIMGaussian(a, b *gray.Image) (float64, error) {
 	return total / float64(n), nil
 }
 
-// SSIMGaussianMetric adapts SSIMGaussian to the distortion-percent
-// scale used by the policy search.
-func SSIMGaussianMetric(a, b *gray.Image) (float64, error) {
-	s, err := SSIMGaussian(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return DistortionPercent(s), nil
+// SSIMGaussianMetric is (1 − SSIMGaussian(F, g(F))) × 100 for an image
+// F and its reconstruction g, the chart.Metric shape. The Gaussian
+// filter reads g(F) at every tap, so it is materialized once.
+func SSIMGaussianMetric(a *gray.Image, g Recon) (float64, error) {
+	return materializedMetric(a, g, SSIMGaussian)
 }

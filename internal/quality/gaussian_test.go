@@ -90,7 +90,7 @@ func TestSSIMGaussianCloseToUniformOnNaturalContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := SSIM(a, b, UQIOptions{})
+	u, err := ssim(a, b, UQIOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSSIMGaussianValidation(t *testing.T) {
 
 func TestSSIMGaussianMetric(t *testing.T) {
 	m := noisy(32, 32, 45)
-	d, err := SSIMGaussianMetric(m, m)
+	d, err := SSIMGaussianMetric(m, lutRecon(func(p uint8) uint8 { return p }))
 	if err != nil {
 		t.Fatal(err)
 	}

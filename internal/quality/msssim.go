@@ -16,18 +16,6 @@ import (
 // msssimWeights are the published exponents for the five dyadic scales.
 var msssimWeights = []float64{0.0448, 0.2856, 0.3001, 0.2363, 0.1333}
 
-// ssimComponents returns the mean luminance term and the mean
-// contrast·structure term over sliding windows — the factorization
-// MS-SSIM combines across scales.
-func ssimComponents(a, b *gray.Image, opts UQIOptions) (lum, cs float64, err error) {
-	opts, err = opts.normalized(a, b)
-	if err != nil {
-		return 0, 0, err
-	}
-	lum, cs = walk(a, b, opts.Window, opts.Step, ssimParts)
-	return lum, cs, nil
-}
-
 // MSSSIM returns the multi-scale structural similarity index over up
 // to five dyadic scales (fewer if the images are too small to halve;
 // the weights are renormalized over the scales actually used). The
@@ -40,7 +28,7 @@ func MSSSIM(a, b *gray.Image, opts UQIOptions) (float64, error) {
 	type scaleResult struct{ lum, cs float64 }
 	var scales []scaleResult
 	for s := 0; s < len(msssimWeights); s++ {
-		lum, cs, err := ssimComponents(ca, cb, opts)
+		lum, cs, err := measure(ca, cb, Recon{}, opts, ssimParts)
 		if err != nil {
 			return 0, err
 		}
@@ -85,12 +73,9 @@ func MSSSIM(a, b *gray.Image, opts UQIOptions) (float64, error) {
 	return result, nil
 }
 
-// MSSSIMMetric adapts MSSSIM to the chart.Metric shape: distortion
-// percent (1 − index) × 100.
-func MSSSIMMetric(a, b *gray.Image) (float64, error) {
-	v, err := MSSSIM(a, b, UQIOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return DistortionPercent(v), nil
+// MSSSIMMetric is (1 − MSSSIM(F, g(F))) × 100 for an image F and its
+// reconstruction g, the chart.Metric shape. The coarser scales resample
+// g(F), so it is materialized once.
+func MSSSIMMetric(a *gray.Image, g Recon) (float64, error) {
+	return materializedMetric(a, g, func(a, b *gray.Image) (float64, error) { return MSSSIM(a, b, UQIOptions{}) })
 }

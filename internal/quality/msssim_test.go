@@ -94,15 +94,14 @@ func TestMSSSIMShapeMismatch(t *testing.T) {
 
 func TestMSSSIMMetricScale(t *testing.T) {
 	m := noisy(64, 64, 35)
-	d, err := MSSSIMMetric(m, m)
+	d, err := MSSSIMMetric(m, lutRecon(func(p uint8) uint8 { return p }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d > 1e-3 {
 		t.Errorf("MSSSIM distortion(self) = %v, want ~0", d)
 	}
-	inv := mapPix(m, func(p uint8) uint8 { return 255 - p })
-	d, err = MSSSIMMetric(m, inv)
+	d, err = MSSSIMMetric(m, lutRecon(func(p uint8) uint8 { return 255 - p }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +120,8 @@ func TestMSSSIMSensitiveToCoarseScaleBanding(t *testing.T) {
 			g.Set(x, y, uint8(64+x/2+y/4))
 		}
 	}
-	coarse := mapPix(g, func(p uint8) uint8 { return (p / 24) * 24 })
-	fine := mapPix(g, func(p uint8) uint8 { return (p / 6) * 6 })
+	coarse := lutRecon(func(p uint8) uint8 { return (p / 24) * 24 })
+	fine := lutRecon(func(p uint8) uint8 { return (p / 6) * 6 })
 	dc, err := MSSSIMMetric(g, coarse)
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +140,11 @@ func TestSSIMComponentsConsistentWithSSIM(t *testing.T) {
 	a := noisy(8, 8, 36)
 	b := noisy(8, 8, 37)
 	opts := UQIOptions{Window: 8, Step: 8}
-	l, cs, err := ssimComponents(a, b, opts)
+	l, cs, err := measure(a, b, Recon{}, opts, ssimParts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := SSIM(a, b, opts)
+	s, err := ssim(a, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

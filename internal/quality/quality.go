@@ -26,6 +26,8 @@ const DefaultWindow = 8
 // ErrShapeMismatch is returned when two images have different sizes.
 var ErrShapeMismatch = errors.New("quality: image shapes differ")
 
+// checkPair validates the image pair a, b; checkPair(a, a) validates
+// a alone.
 func checkPair(a, b *gray.Image) error {
 	if a == nil || b == nil {
 		return errors.New("quality: nil image")
@@ -72,13 +74,9 @@ type UQIOptions struct {
 	Step int
 }
 
-// normalized checks the pair and resolves the defaults and the
-// tiny-image fallback against its geometry.
-func (o UQIOptions) normalized(a, b *gray.Image) (UQIOptions, error) {
-	if err := checkPair(a, b); err != nil {
-		return o, err
-	}
-	w, h := a.W, a.H
+// normalized resolves the defaults and the tiny-image fallback against
+// a w×h image.
+func (o UQIOptions) normalized(w, h int) (UQIOptions, error) {
 	if o.Window == 0 {
 		o.Window = DefaultWindow
 	}
@@ -90,17 +88,10 @@ func (o UQIOptions) normalized(a, b *gray.Image) (UQIOptions, error) {
 	}
 	if o.Window > w || o.Window > h {
 		// Fall back to a single whole-image window for tiny images.
-		o.Window = minInt(w, h)
+		o.Window = min(w, h)
 		o.Step = o.Window
 	}
 	return o, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // colSums holds the exact integer moment sums Σx, Σy, Σx², Σy², Σxy
@@ -118,17 +109,94 @@ func (s *colSums) slide(in, out *colSums) {
 	s.xy += in.xy - out.xy
 }
 
-// colPool recycles walk's column-sum buffer. A buffer serves every
-// image no wider than itself, so one pool covers all geometries.
-var colPool sync.Pool // *[]colSums
+// colPool and ringPool recycle walk's column sums and reconstructed
+// rows. A buffer serves every geometry it is large enough for.
+var colPool, ringPool sync.Pool // *[]colSums, *[]uint8
 
-// newCols allocates a column-sum buffer on a pool miss, outside the
-// //hebs:noalloc walk.
+// pooled returns a buffer of n elements from p, allocating on a miss
+// outside the //hebs:noalloc walk.
 //
 //go:noinline
-func newCols(w int) *[]colSums {
-	s := make([]colSums, w)
-	return &s
+func pooled[T any](p *sync.Pool, n int) *[]T {
+	s, _ := p.Get().(*[]T)
+	if s == nil || cap(*s) < n {
+		buf := make([]T, n)
+		s = &buf
+	}
+	*s = (*s)[:n]
+	return s
+}
+
+// moveRow subtracts the leaving row pair (oa, ob) from cols and adds
+// the entering pair (ia, ib), in a function of its own for registers.
+//
+//hebs:noalloc
+//go:noinline
+func moveRow(cols []colSums, oa, ob, ia, ib []uint8) {
+	oa, ob, ia, ib = oa[:len(cols)], ob[:len(cols)], ia[:len(cols)], ib[:len(cols)]
+	for c := range cols {
+		xo, yo, xi, yi := int64(oa[c]), int64(ob[c]), int64(ia[c]), int64(ib[c])
+		s := &cols[c]
+		s.x += xi - xo
+		s.y += yi - yo
+		s.xx += xi*xi - xo*xo
+		s.yy += yi*yi - yo*yo
+		s.xy += xi*yi - xo*yo
+	}
+}
+
+// windowRow adds kind's terms of the windows along cols, one every step
+// columns, to sum1 and sum2 in window order; like moveRow, it is its own
+// function. For n = win² a power of two, sum·(1/n) equals sum/n exactly.
+//
+//hebs:noalloc
+//go:noinline
+func windowRow(cols []colSums, win, step int, kind metricKind, sum1, sum2 float64) (float64, float64) {
+	n := float64(win * win)
+	inv, pow2 := 1/n, win*win&(win*win-1) == 0
+	var s, zero colSums
+	for c := 0; c < win; c++ {
+		s.slide(&cols[c], &zero)
+	}
+	for x0 := 0; ; {
+		// The explicit conversions round each scaled sum on its own,
+		// as a division would, so no product is fused into the
+		// subtractions below.
+		var mx, my, exx, eyy, exy float64
+		if pow2 {
+			mx, my = float64(float64(s.x)*inv), float64(float64(s.y)*inv)
+			exx, eyy, exy = float64(float64(s.xx)*inv), float64(float64(s.yy)*inv), float64(float64(s.xy)*inv)
+		} else {
+			mx, my = float64(s.x)/n, float64(s.y)/n
+			exx, eyy, exy = float64(s.xx)/n, float64(s.yy)/n, float64(s.xy)/n
+		}
+		vx, vy, cov := exx-mx*mx, eyy-my*my, exy-mx*my
+		// Guard tiny negatives from float cancellation.
+		if vx < 0 {
+			vx = 0
+		}
+		if vy < 0 {
+			vy = 0
+		}
+		switch kind {
+		case uqiTerms:
+			sum1 += uqiWindow(mx, my, vx, vy, cov)
+		case ssimTerms:
+			num := (2*mx*my + c1) * (2*cov + c2)
+			den := (mx*mx + my*my + c1) * (vx + vy + c2)
+			sum1 += num / den
+		default:
+			sum1 += (2*mx*my + c1) / (mx*mx + my*my + c1)
+			sum2 += (2*cov + c2) / (vx + vy + c2)
+		}
+		if x0 += step; x0+win > len(cols) {
+			break
+		}
+		for c := x0 - step; c < x0; c++ {
+			s.slide(&cols[c+win], &cols[c])
+		}
+	}
+	return sum1, sum2
 }
 
 // metricKind selects the per-window terms walk averages.
@@ -147,105 +215,56 @@ const (
 )
 
 // walk slides a win×win window over the aligned pair a, b at the given
-// step (both already validated by normalized) and returns the means
+// step (validated and resolved by normalized) and returns the means
 // over windows of kind's per-window terms, summed in row-major window
 // order. It keeps one running sum per column over the window's rows,
 // moves the rows down by subtracting the leaving row and adding the
 // entering one, and slides each window row across the columns the same
-// way, so every window's sums are exact integers at O(1) cost. A
-// window's statistics are sum/n; when n = win² is a power of two,
-// sum·(1/n) is the same float64 (both are exact) without the five
-// divisions.
+// way, so every window's sums are exact integers at O(1) cost
+// (windowRow, moveRow).
+//
+// With b nil, y is g[x] for the reconstruction g (checked against a):
+// g of a's row enters a ring of win+1 rows with the row and is read
+// back as it leaves. One more ring row stays zero, for the first rows
+// to enter against.
 //
 //hebs:noalloc
-func walk(a, b *gray.Image, win, step int, kind metricKind) (mean1, mean2 float64) {
+func walk(a, b *gray.Image, g Recon, win, step int, kind metricKind) (mean1, mean2 float64) {
 	w, h := a.W, a.H
-	p, _ := colPool.Get().(*[]colSums)
-	if p == nil || len(*p) < w {
-		p = newCols(w)
+	cp, rp := pooled[colSums](&colPool, w), pooled[uint8](&ringPool, (win+2)*w)
+	ys, period, zero := *rp, win+1, (*rp)[(win+1)*w:] // y row r is ys[r%period*w:][:w]
+	if b != nil {
+		ys, period = b.Pix, h
 	}
-	cols := (*p)[:w]
+	cols := *cp
 	clear(cols)
+	clear(zero)
 	for r := 0; r < win; r++ {
-		ra, rb := a.Pix[r*w:(r+1)*w], b.Pix[r*w:(r+1)*w]
-		for c := range cols {
-			x, y := int64(ra[c]), int64(rb[c])
-			s := &cols[c]
-			s.x += x
-			s.y += y
-			s.xx += x * x
-			s.yy += y * y
-			s.xy += x * y
+		ra, rb := a.Pix[r*w:(r+1)*w], ys[r%period*w:][:w]
+		if b == nil {
+			g.fill(rb, ra, r)
 		}
+		moveRow(cols, zero, zero, ra, rb)
 	}
-	n := float64(win * win)
-	inv, pow2 := 1/n, win*win&(win*win-1) == 0
 	var sum1, sum2 float64
-	count := 0
-	var zero colSums
 	for y0 := 0; ; {
-		var s colSums
-		for c := 0; c < win; c++ {
-			s.slide(&cols[c], &zero)
-		}
-		for x0 := 0; ; {
-			// The explicit conversions round each scaled sum on its own,
-			// as a division would, so no product is fused into the
-			// subtractions below.
-			var mx, my, exx, eyy, exy float64
-			if pow2 {
-				mx, my = float64(float64(s.x)*inv), float64(float64(s.y)*inv)
-				exx, eyy, exy = float64(float64(s.xx)*inv), float64(float64(s.yy)*inv), float64(float64(s.xy)*inv)
-			} else {
-				mx, my = float64(s.x)/n, float64(s.y)/n
-				exx, eyy, exy = float64(s.xx)/n, float64(s.yy)/n, float64(s.xy)/n
-			}
-			vx, vy, cov := exx-mx*mx, eyy-my*my, exy-mx*my
-			// Guard tiny negatives from float cancellation.
-			if vx < 0 {
-				vx = 0
-			}
-			if vy < 0 {
-				vy = 0
-			}
-			switch kind {
-			case uqiTerms:
-				sum1 += uqiWindow(mx, my, vx, vy, cov)
-			case ssimTerms:
-				num := (2*mx*my + c1) * (2*cov + c2)
-				den := (mx*mx + my*my + c1) * (vx + vy + c2)
-				sum1 += num / den
-			default:
-				sum1 += (2*mx*my + c1) / (mx*mx + my*my + c1)
-				sum2 += (2*cov + c2) / (vx + vy + c2)
-			}
-			count++
-			if x0 += step; x0+win > w {
-				break
-			}
-			for c := x0 - step; c < x0; c++ {
-				s.slide(&cols[c+win], &cols[c])
-			}
-		}
+		sum1, sum2 = windowRow(cols, win, step, kind, sum1, sum2)
 		if y0 += step; y0+win > h {
 			break
 		}
 		for r := y0 - step; r < y0; r++ {
-			oa, ob := a.Pix[r*w:(r+1)*w], b.Pix[r*w:(r+1)*w]
-			ia, ib := a.Pix[(r+win)*w:(r+win+1)*w], b.Pix[(r+win)*w:(r+win+1)*w]
-			for c := range cols {
-				xo, yo, xi, yi := int64(oa[c]), int64(ob[c]), int64(ia[c]), int64(ib[c])
-				s := &cols[c]
-				s.x += xi - xo
-				s.y += yi - yo
-				s.xx += xi*xi - xo*xo
-				s.yy += yi*yi - yo*yo
-				s.xy += xi*yi - xo*yo
+			oa, ob := a.Pix[r*w:(r+1)*w], ys[r%period*w:][:w]
+			ia, ib := a.Pix[(r+win)*w:(r+win+1)*w], ys[(r+win)%period*w:][:w]
+			if b == nil {
+				g.fill(ib, ia, r+win)
 			}
+			moveRow(cols, oa, ob, ia, ib)
 		}
 	}
-	colPool.Put(p)
-	return sum1 / float64(count), sum2 / float64(count)
+	colPool.Put(cp)
+	ringPool.Put(rp)
+	count := float64(((h-win)/step + 1) * ((w-win)/step + 1))
+	return sum1 / count, sum2 / count
 }
 
 // UQI returns the Universal Image Quality Index between two images,
@@ -253,27 +272,26 @@ func walk(a, b *gray.Image, win, step int, kind metricKind) (mean1, mean2 float6
 // identical images. Window moments are running sums (see walk), so the
 // cost is O(pixels + windows) rather than O(windows × window area).
 func UQI(a, b *gray.Image, opts UQIOptions) (float64, error) {
-	opts, err := opts.normalized(a, b)
-	if err != nil {
-		return 0, err
-	}
-	q, _ := walk(a, b, opts.Window, opts.Step, uqiTerms)
-	return q, nil
+	q, _, err := measure(a, b, Recon{}, opts, uqiTerms)
+	return q, err
 }
 
-// SSIM returns the Structural Similarity index with the standard
-// stabilizing constants C1=(0.01·L)², C2=(0.03·L)², L=255, averaged over
-// the same uniform sliding windows as UQI. (The original SSIM paper uses
-// an 11×11 Gaussian window; the uniform window preserves the index's
-// behaviour for the backlight-scaling comparisons made here and is what
-// UQI itself uses.)
-func SSIM(a, b *gray.Image, opts UQIOptions) (float64, error) {
-	opts, err := opts.normalized(a, b)
-	if err != nil {
-		return 0, err
+// measure validates the pair a, b — or, with b nil, a and its
+// reconstruction g — resolves opts against the geometry, and walks.
+func measure(a, b *gray.Image, g Recon, opts UQIOptions, kind metricKind) (mean1, mean2 float64, err error) {
+	if b != nil {
+		err = checkPair(a, b)
+	} else if err = checkPair(a, a); err == nil && !g.tiles(a.W, a.H) {
+		err = errBadRecon
 	}
-	s, _ := walk(a, b, opts.Window, opts.Step, ssimTerms)
-	return s, nil
+	if err != nil {
+		return 0, 0, err
+	}
+	if opts, err = opts.normalized(a.W, a.H); err != nil {
+		return 0, 0, err
+	}
+	mean1, mean2 = walk(a, b, g, opts.Window, opts.Step, kind)
+	return mean1, mean2, nil
 }
 
 // DistortionPercent converts a quality index Q in [-1,1] to the paper's
@@ -289,12 +307,42 @@ func DistortionPercent(q float64) float64 {
 	return d
 }
 
-// UQIDistortion is shorthand for DistortionPercent(UQI(a, b)) with
-// default options — the paper's distortion measure D(F, F′).
-func UQIDistortion(a, b *gray.Image) (float64, error) {
-	q, err := UQI(a, b, UQIOptions{})
+// UQIMetric is the paper's distortion measure D = (1 − UQI(F, g(F))) ×
+// 100 with default options, for an image F and its reconstruction g.
+// It is Float64bits-equal to DistortionPercent of UQI(F, g(F)) on a
+// materialized g(F), but never writes g(F).
+func UQIMetric(a *gray.Image, g Recon) (float64, error) { return reconMetric(a, g, uqiTerms) }
+
+// SSIMMetric is (1 − SSIM(F, g(F))) × 100, read through g's tables like
+// UQIMetric. SSIM uses the standard stabilizing constants
+// C1=(0.01·L)², C2=(0.03·L)², L=255, averaged over the same uniform
+// sliding windows as UQI. (The original SSIM paper uses an 11×11
+// Gaussian window; the uniform window preserves the index's behaviour
+// for the backlight-scaling comparisons made here and is what UQI
+// itself uses.)
+func SSIMMetric(a *gray.Image, g Recon) (float64, error) { return reconMetric(a, g, ssimTerms) }
+
+// reconMetric is DistortionPercent of kind's index on (a, g(a)) with
+// default options.
+func reconMetric(a *gray.Image, g Recon, kind metricKind) (float64, error) {
+	q, _, err := measure(a, nil, g, UQIOptions{}, kind)
 	if err != nil {
 		return 0, err
 	}
 	return DistortionPercent(q), nil
+}
+
+// materializedMetric is DistortionPercent of index(a, g(a)), for the
+// indices that filter or resample the reconstruction and so read g(a)
+// as an image.
+func materializedMetric(a *gray.Image, g Recon, index func(a, b *gray.Image) (float64, error)) (float64, error) {
+	b, err := g.apply(a)
+	if err != nil {
+		return 0, err
+	}
+	v, err := index(a, b)
+	if err != nil {
+		return 0, err
+	}
+	return DistortionPercent(v), nil
 }

@@ -3,6 +3,7 @@ package quality
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"hebs/internal/gray"
@@ -21,6 +22,21 @@ func noisy(w, h int, seed uint64) *gray.Image {
 		}
 	}
 	return m
+}
+
+// ssim is the uniform-window SSIM of the pair a, b.
+func ssim(a, b *gray.Image, opts UQIOptions) (float64, error) {
+	s, _, err := measure(a, b, Recon{}, opts, ssimTerms)
+	return s, err
+}
+
+// lutRecon returns the global reconstruction with table f.
+func lutRecon(f func(uint8) uint8) Recon {
+	lut := new(transform.LUT)
+	for i := range lut {
+		lut[i] = f(uint8(i))
+	}
+	return Recon{LUT: lut}
 }
 
 // mapPix returns a copy of m with f applied to every pixel.
@@ -173,7 +189,7 @@ func TestUQIBlockModeMatchesSlidingOnUniformStats(t *testing.T) {
 
 func TestSSIMIdenticalAndRange(t *testing.T) {
 	m := noisy(64, 64, 11)
-	s, err := SSIM(m, m, UQIOptions{})
+	s, err := ssim(m, m, UQIOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestSSIMIdenticalAndRange(t *testing.T) {
 		t.Errorf("SSIM(self) = %v, want 1", s)
 	}
 	b := noisy(64, 64, 12)
-	s, _ = SSIM(m, b, UQIOptions{})
+	s, _ = ssim(m, b, UQIOptions{})
 	if s < -1 || s > 1 {
 		t.Errorf("SSIM out of range: %v", s)
 	}
@@ -194,7 +210,7 @@ func TestSSIMMoreStableThanUQIOnFlats(t *testing.T) {
 	a.Fill(128)
 	b := a.Clone()
 	b.Set(0, 0, 129)
-	s, err := SSIM(a, b, UQIOptions{})
+	s, err := ssim(a, b, UQIOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +220,7 @@ func TestSSIMMoreStableThanUQIOnFlats(t *testing.T) {
 }
 
 func TestSSIMShapeMismatch(t *testing.T) {
-	if _, err := SSIM(gray.New(8, 8), gray.New(9, 8), UQIOptions{}); err == nil {
+	if _, err := ssim(gray.New(8, 8), gray.New(9, 8), UQIOptions{}); err == nil {
 		t.Error("shape mismatch should error")
 	}
 }
@@ -229,7 +245,7 @@ func TestDistortionPercent(t *testing.T) {
 
 func TestUQIDistortion(t *testing.T) {
 	m := noisy(32, 32, 13)
-	d, err := UQIDistortion(m, m)
+	d, err := UQIMetric(m, lutRecon(func(p uint8) uint8 { return p }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,18 +321,21 @@ func uqiNaive(a, b *gray.Image, win, step int) float64 {
 	return q
 }
 
-// checkWalkerMatchesNaive requires UQI, SSIM and ssimComponents to
+// checkWalkerMatchesNaive requires UQI, SSIM and the MS-SSIM factors to
 // equal the naive oracle in every bit.
 func checkWalkerMatchesNaive(t testing.TB, name string, a, b *gray.Image, opts UQIOptions) {
 	t.Helper()
-	norm, err := opts.normalized(a, b)
+	if err := checkPair(a, b); err != nil {
+		t.Fatal(err)
+	}
+	norm, err := opts.normalized(a.W, a.H)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wq, ws, wl, wc := naiveMeans(a, b, norm.Window, norm.Step)
 	q, err1 := UQI(a, b, opts)
-	s, err2 := SSIM(a, b, opts)
-	l, c, err3 := ssimComponents(a, b, opts)
+	s, err2 := ssim(a, b, opts)
+	l, c, err3 := measure(a, b, Recon{}, opts, ssimParts)
 	if err := errors.Join(err1, err2, err3); err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +347,100 @@ func checkWalkerMatchesNaive(t testing.TB, name string, a, b *gray.Image, opts U
 			t.Errorf("%s %dx%d %+v: %s %v (%#x) != naive %v (%#x)", name, a.W, a.H, opts,
 				v.metric, v.got, math.Float64bits(v.got), v.want, math.Float64bits(v.want))
 		}
+	}
+}
+
+// checkReconMatchesPair requires the walker's Recon form on (a, g) to
+// equal its pair form on the materialized (a, g.apply(a)) in every bit,
+// for UQI, SSIM and both MS-SSIM factors. It returns the materialized
+// reconstruction.
+func checkReconMatchesPair(t testing.TB, name string, a *gray.Image, g Recon, opts UQIOptions) *gray.Image {
+	t.Helper()
+	b, err := g.apply(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := opts.normalized(a.W, a.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err1 := UQI(a, b, opts)
+	s, err2 := ssim(a, b, opts)
+	l, c, err3 := measure(a, b, Recon{}, opts, ssimParts)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	gq, _ := walk(a, nil, g, norm.Window, norm.Step, uqiTerms)
+	gs, _ := walk(a, nil, g, norm.Window, norm.Step, ssimTerms)
+	gl, gc := walk(a, nil, g, norm.Window, norm.Step, ssimParts)
+	for _, v := range []struct {
+		metric    string
+		got, want float64
+	}{{"UQI", gq, q}, {"SSIM", gs, s}, {"luminance", gl, l}, {"contrast-structure", gc, c}} {
+		if math.Float64bits(v.got) != math.Float64bits(v.want) {
+			t.Errorf("%s %dx%d %+v grid %v×%v: Recon %s %v != pair %v", name, a.W, a.H, opts,
+				g.XCuts, g.YCuts, v.metric, v.got, v.want)
+		}
+	}
+	return b
+}
+
+// randomCuts returns n+1 sorted cut points from 0 to size; inner cuts
+// may repeat, which makes an empty zone column or row.
+func randomCuts(s *rng.Source, n, size int) []int {
+	cuts := make([]int, n+1)
+	cuts[n] = size
+	for i := 1; i < n; i++ {
+		cuts[i] = s.Intn(size + 1)
+	}
+	sort.Ints(cuts)
+	return cuts
+}
+
+// randomRecon returns a zone grid of up to 5×5 random LUTs over a w×h
+// image.
+func randomRecon(s *rng.Source, w, h int) Recon {
+	g := Recon{XCuts: randomCuts(s, 1+s.Intn(5), w), YCuts: randomCuts(s, 1+s.Intn(5), h)}
+	g.Zones = make([]*transform.LUT, (len(g.XCuts)-1)*(len(g.YCuts)-1))
+	for k := range g.Zones {
+		lut := new(transform.LUT)
+		for i := range lut {
+			lut[i] = uint8(s.Intn(256))
+		}
+		g.Zones[k] = lut
+	}
+	return g
+}
+
+// TestReconMetricsRejectBadRecon: a reconstruction that does not tile
+// the image is an error for every metric, not an out-of-range panic.
+func TestReconMetricsRejectBadRecon(t *testing.T) {
+	a := noisy(16, 12, 1)
+	lut := new(transform.LUT)
+	zones := func(n int) []*transform.LUT {
+		z := make([]*transform.LUT, n)
+		for i := range z {
+			z[i] = lut
+		}
+		return z
+	}
+	for i, g := range []Recon{
+		{},
+		{LUT: lut, Zones: zones(1), XCuts: []int{0, 16}, YCuts: []int{0, 12}},
+		{Zones: zones(1), XCuts: []int{0, 15}, YCuts: []int{0, 12}},
+		{Zones: zones(1), XCuts: []int{16}, YCuts: []int{0, 12}},
+		{Zones: zones(2), XCuts: []int{0, 16}, YCuts: []int{0, 12}},
+		{Zones: []*transform.LUT{nil}, XCuts: []int{0, 16}, YCuts: []int{0, 12}},
+		{Zones: zones(2), XCuts: []int{0, 17, 16}, YCuts: []int{0, 12}},
+	} {
+		for _, metric := range []func(*gray.Image, Recon) (float64, error){UQIMetric, SSIMMetric, SSIMGaussianMetric, MSSSIMMetric} {
+			if _, err := metric(a, g); err == nil {
+				t.Errorf("recon %d: no error", i)
+			}
+		}
+	}
+	if _, err := UQIMetric(nil, Recon{LUT: lut}); err == nil {
+		t.Error("nil image: no error")
 	}
 }
 
@@ -369,8 +482,25 @@ func TestUQIWalkerMatchesNaiveSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A 4×4 zone grid like a local-dimming frame's: zone k
+			// reconstructs linear compression to its own range.
+			grid := Recon{XCuts: make([]int, 5), YCuts: make([]int, 5), Zones: make([]*transform.LUT, 16)}
+			for i := range grid.XCuts {
+				grid.XCuts[i], grid.YCuts[i] = i*size/4, i*size/4
+			}
+			for k := range grid.Zones {
+				zl, err := transform.ScaleToRange(0, uint8(2+(r+37*k)%254))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if grid.Zones[k], err = zl.Reconstruction(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, im := range suite {
-				checkWalkerMatchesNaive(t, im.Name, im.Image, recon.Apply(im.Image), UQIOptions{})
+				b := checkReconMatchesPair(t, im.Name, im.Image, Recon{LUT: recon}, UQIOptions{})
+				checkWalkerMatchesNaive(t, im.Name, im.Image, b, UQIOptions{})
+				checkReconMatchesPair(t, im.Name, im.Image, grid, UQIOptions{})
 			}
 		}
 	}
@@ -379,6 +509,8 @@ func TestUQIWalkerMatchesNaiveSuite(t *testing.T) {
 	checkWalkerMatchesNaive(t, "white/black", white, black, UQIOptions{})
 	checkWalkerMatchesNaive(t, "white/black", white, black, UQIOptions{Window: 64})
 	checkWalkerMatchesNaive(t, "tiny", noisy(3, 300, 1), noisy(3, 300, 2), UQIOptions{})
+	tiny := noisy(3, 300, 1)
+	checkWalkerMatchesNaive(t, "tiny", tiny, checkReconMatchesPair(t, "tiny", tiny, randomRecon(rng.New(1), 3, 300), UQIOptions{}), UQIOptions{})
 }
 
 // FuzzUQI drives the walker against the oracle over random geometries,
@@ -401,7 +533,9 @@ func FuzzUQI(f *testing.F) {
 				b.Pix[i] = a.Pix[i] // correlated runs and flat windows
 			}
 		}
-		checkWalkerMatchesNaive(t, "fuzz", a, b, UQIOptions{Window: int(win) % 17, Step: int(step) % 9})
+		opts := UQIOptions{Window: int(win) % 17, Step: int(step) % 9}
+		checkWalkerMatchesNaive(t, "fuzz", a, b, opts)
+		checkWalkerMatchesNaive(t, "fuzz", a, checkReconMatchesPair(t, "fuzz", a, randomRecon(s, int(w), int(h)), opts), opts)
 	})
 }
 
@@ -433,15 +567,13 @@ func TestUQIDistortionGrowsAsBandShrinks(t *testing.T) {
 	prev := -1.0
 	for _, r := range []int{220, 150, 80} {
 		scale := float64(r) / 255
-		comp := mapPix(m, func(p uint8) uint8 { return uint8(float64(p) * scale) })
-		exp := mapPix(comp, func(p uint8) uint8 {
-			v := math.Round(float64(p) / scale)
+		d, err := UQIMetric(m, lutRecon(func(p uint8) uint8 {
+			v := math.Round(float64(uint8(float64(p)*scale)) / scale)
 			if v > 255 {
 				v = 255
 			}
 			return uint8(v)
-		})
-		d, err := UQIDistortion(m, exp)
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hebs/internal/chart"
 	"hebs/internal/core"
 	"hebs/internal/gray"
+	"hebs/internal/quality"
 	"hebs/internal/sipi"
 )
 
@@ -33,14 +33,14 @@ func TestProcessContextCancelMidClip(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	cancellingMetric := func(a, b *gray.Image) (float64, error) {
+	cancellingMetric := func(a *gray.Image, g quality.Recon) (float64, error) {
 		if calls.Add(1) >= 2 {
 			cancel()
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		return chart.UQIMetric(a, b)
+		return quality.UQIMetric(a, g)
 	}
 	eng := core.NewEngine(core.EngineOptions{})
 	pol := Policy{

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"hebs/internal/chart"
 	"hebs/internal/core"
 	"hebs/internal/gray"
 	"hebs/internal/obs"
+	"hebs/internal/quality"
 )
 
 // TestProcessFeedsFlightRecorder: inline and fanned-out runs of both
@@ -174,9 +174,9 @@ func TestFrameSecondsCoverWholeFrame(t *testing.T) {
 	pol := Policy{Options: core.Options{
 		MaxDistortionPercent: 10,
 		ExactSearch:          true,
-		Metric: func(a, b *gray.Image) (float64, error) {
+		Metric: func(a *gray.Image, g quality.Recon) (float64, error) {
 			time.Sleep(2 * time.Millisecond)
-			return chart.UQIMetric(a, b)
+			return quality.UQIMetric(a, g)
 		},
 	}}
 	const floor = 16 * time.Millisecond

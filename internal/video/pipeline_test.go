@@ -9,6 +9,7 @@ import (
 
 	"hebs/internal/core"
 	"hebs/internal/gray"
+	"hebs/internal/quality"
 	"hebs/internal/sipi"
 )
 
@@ -119,7 +120,7 @@ func TestPipelinedCancellation(t *testing.T) {
 	var calls atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pol.Options.Metric = func(a, b *gray.Image) (float64, error) {
+	pol.Options.Metric = func(a *gray.Image, g quality.Recon) (float64, error) {
 		if calls.Add(1) == 10 {
 			cancel()
 		}
