@@ -73,17 +73,45 @@ bench:
 # (on a 1- or 2-CPU machine the workers=4 rows measure overhead, not
 # speedup). BENCH_WORKERS=0 selects NumCPU instead. ns/op is
 # hardware-dependent — compare only files produced on the same machine.
+#
+# With BENCH_BASE=<rev>, bench-compare runs in paired mode instead: it
+# builds <rev> in a temporary git worktree (removed on exit), then runs
+# the base and the working tree's hebsbench -only perf in
+# $(BENCH_PAIRS) alternating pairs and gates ns/op on the median
+# per-pair ratio, so host drift that slows both runs of a pair cancels.
 BENCH_OLD ?= BENCH_pipeline.json
 BENCH_NEW ?= BENCH_pipeline.new.json
 BENCH_TOLERANCE ?= 10
 BENCH_WORKERS ?= 4
+BENCH_BASE ?=
+BENCH_PAIRS ?= 3
 
 bench-baseline:
 	$(GO) run ./cmd/hebsbench -only perf -workers $(BENCH_WORKERS) -json $(BENCH_OLD)
 
+ifeq ($(BENCH_BASE),)
 bench-compare:
 	$(GO) run ./cmd/hebsbench -only perf -workers $(BENCH_WORKERS) -json $(BENCH_NEW)
 	$(GO) run ./cmd/hebsbenchcmp -old $(BENCH_OLD) -new $(BENCH_NEW) -tol $(BENCH_TOLERANCE)
+else
+bench-compare:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
+	trap 'exit 130' INT TERM HUP; \
+	git worktree add --detach "$$tmp/base" "$(BENCH_BASE)" >/dev/null; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/hebsbench-base" ./cmd/hebsbench); \
+	$(GO) build -o "$$tmp/hebsbench-new" ./cmd/hebsbench; \
+	olds=; news=; \
+	for i in $$(seq 1 $(BENCH_PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base new"; else order="new base"; fi; \
+		for side in $$order; do \
+			echo "== pair $$i: $$side"; \
+			"$$tmp/hebsbench-$$side" -only perf -workers $(BENCH_WORKERS) -json "$$tmp/$$side-$$i.json" >/dev/null; \
+		done; \
+		olds="$$olds$${olds:+,}$$tmp/base-$$i.json"; news="$$news$${news:+,}$$tmp/new-$$i.json"; \
+	done; \
+	$(GO) run ./cmd/hebsbenchcmp -old "$$olds" -new "$$news" -tol $(BENCH_TOLERANCE)
+endif
 
 # Every benchmark compiles and runs one iteration — catches bit-rot in
 # bench code without paying for real measurements.

@@ -9,12 +9,13 @@
 // errors; its complexity is O(m·n²) transitions, matching the paper's
 // stated bound. The chord error e(i, j) does not depend on the chord
 // count k, so the recurrence runs column-major: for each right
-// endpoint j the column e(·, j) is evaluated once (O(n²) chord
-// evaluations per solve), then every k ≤ min(m, j) reads it. An exact prune skips any predecessor whose own cost
-// already reaches the best candidate, since e ≥ 0 cannot bring it
-// back under. m is set by the number of controllable reference-voltage
-// sources in the LCD driver (Figure 5b), which is what makes small m
-// valuable.
+// endpoint j the column e(·, j) is filled once (O(n²) chord
+// evaluations per solve), then every chord count k that has a reader
+// takes the first minimum of dp[k−1][i] + e(i, j) over i with a
+// branch-free scan. Two rows need no scan: row 1 has one reached
+// predecessor, and row m is read only at column n−1. m is set by the
+// number of controllable reference-voltage sources in the LCD driver
+// (Figure 5b), which is what makes small m valuable.
 package plc
 
 import (
@@ -53,13 +54,8 @@ type Result struct {
 
 // chordTable evaluates e(i, j) = Σ_{k=i+1..j-1} (chord_{i,j}(x_k) − y_k)²
 // — the cost of replacing points i..j by the single line connecting p_i
-// to p_j (the e(·) term of Eq. 9) — in O(1) per query via prefix sums.
-//
-// Writing s for the chord slope, d_k = x_k − x_i and e_k = y_k − y_i:
-//
-//	e(i,j) = Σ (s·d_k − e_k)² = s²·Σd_k² − 2s·Σd_k e_k + Σe_k²
-//
-// and each Σ over k expands into prefix sums of x, x², y, y², x·y.
+// to p_j (the e(·) term of Eq. 9) — in O(1) per chord via prefix sums
+// of x, x², y, y² and x·y.
 type chordTable struct {
 	pts                   []transform.Point
 	px, pxx, py, pyy, pxy []float64
@@ -69,7 +65,8 @@ type chordTable struct {
 // sums, the dp/parent matrices and the per-column chord errors. The GHE
 // curves the HEBS pipeline coarsens always have n = 256 points and a
 // fixed driver segment budget, so a pooled scratch makes repeated
-// solves allocation-free.
+// solves allocation-free. Row 0 of dp and parent stays nil: its one
+// reached cell, dp[0][0] = 0, is folded into row 1's closed form.
 type solveScratch struct {
 	n, m   int
 	table  chordTable
@@ -101,7 +98,7 @@ func getScratch(n, m int) *solveScratch {
 		parent: make([][]int, m+1),
 		col:    make([]float64, n),
 	}
-	for k := range s.dp {
+	for k := 1; k <= m; k++ {
 		s.dp[k] = make([]float64, n)
 		s.parent[k] = make([]int, n)
 	}
@@ -109,21 +106,6 @@ func getScratch(n, m int) *solveScratch {
 }
 
 func putScratch(s *solveScratch) { scratchPool.Put(s) }
-
-// newChordTable allocates and fills a standalone chord table outside
-// the scratch pool.
-func newChordTable(pts []transform.Point) *chordTable {
-	n := len(pts)
-	t := &chordTable{
-		px:  make([]float64, n+1),
-		pxx: make([]float64, n+1),
-		py:  make([]float64, n+1),
-		pyy: make([]float64, n+1),
-		pxy: make([]float64, n+1),
-	}
-	t.fill(pts)
-	return t
-}
 
 // fill recomputes the prefix sums for pts. Index 0 of each prefix
 // array is the zero base case; the loop overwrites indices 1..n.
@@ -140,33 +122,109 @@ func (t *chordTable) fill(pts []transform.Point) {
 	}
 }
 
-// at returns e(i, j) for i < j.
-func (t *chordTable) at(i, j int) float64 {
-	if j-i < 2 {
-		return 0
-	}
-	xi, yi := float64(t.pts[i].X), t.pts[i].Y
-	xj, yj := float64(t.pts[j].X), t.pts[j].Y
+// chordErr is the one copy of the e(i, j) formula, given the chord's
+// end points (xi, yi) and (xj, yj) and the sums Σx, Σx², Σy, Σy², Σxy
+// over its cnt interior points. Writing s for the chord slope,
+// d_k = x_k − x_i and e_k = y_k − y_i:
+//
+//	e(i,j) = Σ (s·d_k − e_k)² = s²·Σd_k² − 2s·Σd_k e_k + Σe_k²
+//
+// with Σd² = Σx² − 2xiΣx + cnt·xi², Σde = Σxy − xiΣy − yiΣx + cnt·xi·yi
+// and Σe² = Σy² − 2yiΣy + cnt·yi². A negative result is float
+// cancellation on a near-collinear stretch; max turns it, and −0, into
+// +0, so e is +0 or more, +Inf or NaN (from extreme or non-finite Y).
+// Row 1 stores e(0, j) as a dp value without adding it to +0, and
+// argmin orders sums by their bits, so neither may meet a −0.
+func chordErr(xi, yi, xj, yj, cnt, sx, sxx, sy, syy, sxy float64) float64 {
 	s := (yj - yi) / (xj - xi) // X strictly increasing: no division by zero
-	// Interior sums over k = i+1 .. j-1.
-	lo, hi := i+1, j
-	cnt := float64(hi - lo)
-	sx := t.px[hi] - t.px[lo]
-	sxx := t.pxx[hi] - t.pxx[lo]
-	sy := t.py[hi] - t.py[lo]
-	syy := t.pyy[hi] - t.pyy[lo]
-	sxy := t.pxy[hi] - t.pxy[lo]
-	// Σd² = Σx² − 2xiΣx + n·xi² ; Σde = Σxy − xiΣy − yiΣx + n·xi·yi ;
-	// Σe² = Σy² − 2yiΣy + n·yi².
 	sd2 := sxx - 2*xi*sx + cnt*xi*xi
 	sde := sxy - xi*sy - yi*sx + cnt*xi*yi
 	se2 := syy - 2*yi*sy + cnt*yi*yi
-	e := s*s*sd2 - 2*s*sde + se2
-	if e < 0 {
-		// Float cancellation on near-collinear stretches.
-		e = 0
+	return max(s*s*sd2-2*s*sde+se2, 0)
+}
+
+// column sets col[i] = e(i, j) for every i < j = len(col). The right
+// end's point and prefix sums are hoisted out of the loop; the interior
+// sums over k = i+1 .. j−1 are differences of prefix sums at j and i+1.
+// The adjacent chord (j−1, j) has no interior point and costs 0.
+//
+//hebs:noalloc
+func (t *chordTable) column(col []float64) {
+	j := len(col)
+	xj, yj := float64(t.pts[j].X), t.pts[j].Y
+	pxj, pxxj, pyj, pyyj, pxyj := t.px[j], t.pxx[j], t.py[j], t.pyy[j], t.pxy[j]
+	pts := t.pts[:j-1]
+	px, pxx, py, pyy, pxy := t.px[1:j], t.pxx[1:j], t.py[1:j], t.pyy[1:j], t.pxy[1:j]
+	px, pxx, py, pyy, pxy = px[:len(pts)], pxx[:len(pts)], py[:len(pts)], pyy[:len(pts)], pxy[:len(pts)]
+	e := col[:len(pts)]
+	for i, p := range pts {
+		e[i] = chordErr(float64(p.X), p.Y, xj, yj, float64(j-i-1),
+			pxj-px[i], pxxj-pxx[i], pyj-py[i], pyyj-pyy[i], pxyj-pxy[i])
 	}
-	return e
+	col[j-1] = 0
+}
+
+// unreached marks a dp cell with no candidate below it, as in the
+// plain recurrence: a candidate sum is accepted only when it is below
+// MaxFloat64, so an +Inf or NaN sum (from extreme or non-finite Y)
+// leaves the cell unreached.
+const unreached = math.MaxFloat64
+
+// argmin returns the minimum of c_i = prev[i] + col[i] over
+// lo ≤ i < len(col) and the first i that attains it, or (unreached, −1)
+// when no c_i is below MaxFloat64.
+//
+// The pair does not depend on the scan order, so the scan needs no
+// prune and no branch. Every c_i is +0 or more, +Inf or NaN: so is
+// every chord error, a reached dp cell is a sum of them, and an
+// unreached one is MaxFloat64. On those values Float64bits orders
+// exactly like the value, and +Inf and NaN order above MaxFloat64, so
+// starting the best at MaxFloat64's bits and keeping a strict uint64 <
+// reproduces the float recurrence's acceptance rule. Both updates
+// compile to conditional moves. Two chains take the even and odd
+// offsets from lo, each keeping its first minimum, and the merge sends
+// a tie to the smaller index.
+//
+//hebs:noalloc
+func argmin(prev, col []float64, lo int) (float64, int) {
+	prev = prev[:len(col)]
+	b0, b1 := math.Float64bits(unreached), math.Float64bits(unreached)
+	i0, i1 := -1, -1
+	i := lo
+	for ; i+1 < len(col); i += 2 {
+		c0 := math.Float64bits(prev[i] + col[i])
+		c1 := math.Float64bits(prev[i+1] + col[i+1])
+		if c0 < b0 {
+			b0, i0 = c0, i
+		}
+		if c1 < b1 {
+			b1, i1 = c1, i+1
+		}
+	}
+	if i < len(col) {
+		if c0 := math.Float64bits(prev[i] + col[i]); c0 < b0 {
+			b0, i0 = c0, i
+		}
+	}
+	if b1 < b0 || b1 == b0 && i1 < i0 {
+		b0, i0 = b1, i1
+	}
+	return math.Float64frombits(b0), i0
+}
+
+// solveCell sets dp[k][j] and parent[k][j] from the filled column
+// col[:j] = e(·, j) and row k−1's cells left of j.
+func (s *solveScratch) solveCell(k, j int) {
+	best, bestI := float64(unreached), -1
+	if k > 1 {
+		best, bestI = argmin(s.dp[k-1], s.col[:j], k-1)
+	} else if e := s.col[0]; e < unreached {
+		// dp[0][i] is unreached for every i > 0, so row 1's one
+		// candidate is i = 0 with c = 0 + e(0, j) = e(0, j).
+		best, bestI = e, 0
+	}
+	s.dp[k][j] = best
+	s.parent[k][j] = bestI
 }
 
 // Coarsen solves PLC for the given exact curve and segment budget m.
@@ -185,11 +243,14 @@ func Coarsen(pts []transform.Point, m int) (*Result, error) {
 // The DP runs the right endpoint j outermost. dp[k][j] reads only
 // dp[k-1][i] for i < j, which earlier columns have already finalized,
 // so each column fills col[i] = e(i, j) once and every chord count
-// k = 1..min(m, j) reuses it. A candidate i with dp[k-1][i] >= best is
-// skipped: e ≥ 0 (the table clamps it) and float addition is
-// monotone, so its sum cannot beat the strict < that picks a winner.
-// The i order and the first-minimum tie-break are those of the plain
-// k-outer recurrence, so Indices and MSE are bit-identical to it.
+// that has a reader reuses it. Row 1 is closed-form: its only reached
+// predecessor is dp[0][0] = 0. Row m is solved at column n−1 alone,
+// where the parent walk starts; rows below m at column n−1 and row m
+// left of it have no reader. Every other cell takes argmin's first
+// minimum, which is exactly what the plain k-outer recurrence keeps
+// with its ascending scan and strict <, so Indices and MSE are
+// bit-identical to it. Every cell read is written first in the same
+// solve, so the pooled dp and parent need no reset.
 // Knuth, SMAWK and divide-and-conquer speedups are not used: they need
 // a quadrangle inequality that chord interpolation error is not known
 // to satisfy, so they could return a different Λ.
@@ -227,57 +288,32 @@ func CoarsenCtx(ctx context.Context, parentSpan *obs.Span, pts []transform.Point
 
 	tableSpan := sp.Child("plc.chord_table")
 	scratch.table.fill(pts)
-	cerr := &scratch.table
 	tableSpan.End()
 
 	// dp[k][j]: minimal total squared error covering points 0..j with k
 	// chords ending exactly at j. parent[k][j] reconstructs the split.
 	dpSpan := sp.Child("plc.dp")
-	const inf = math.MaxFloat64
-	dp, parent := scratch.dp, scratch.parent
-	for k := range dp {
-		for j := range dp[k] {
-			dp[k][j] = inf
-			parent[k][j] = -1
-		}
-	}
-	dp[0][0] = 0
-	col := scratch.col
 	var ctxErr error
 	for j := 1; j < n; j++ {
 		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		cj := col[:j]
-		for i := range cj {
-			cj[i] = cerr.at(i, j)
+		scratch.table.column(scratch.col[:j])
+		if j == n-1 {
+			scratch.solveCell(m, j)
+			break
 		}
-		for k := 1; k <= m && k <= j; k++ {
-			prev := dp[k-1][:j]
-			best := inf
-			bestI := -1
-			for i := k - 1; i < j; i++ {
-				// Exact prune: cj[i] >= 0, so prev[i] + cj[i] >= best.
-				// It also skips unreached (inf) predecessors.
-				if prev[i] >= best {
-					continue
-				}
-				c := prev[i] + cj[i]
-				if c < best {
-					best = c
-					bestI = i
-				}
-			}
-			dp[k][j] = best
-			parent[k][j] = bestI
+		for k := 1; k < m && k <= j; k++ {
+			scratch.solveCell(k, j)
 		}
 	}
 	dpSpan.End()
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
+	dp, parent := scratch.dp, scratch.parent
 	//hebslint:allow floateq MaxFloat64 is an exact "unreached" marker
-	if dp[m][n-1] == inf {
+	if dp[m][n-1] == unreached {
 		mErrors.Inc()
 		return nil, fmt.Errorf("plc: no feasible %d-segment cover", m)
 	}

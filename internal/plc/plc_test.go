@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"image"
 	"math"
 	"slices"
 	"testing"
@@ -177,12 +178,40 @@ func TestCoarsenOptimalVsBruteForce(t *testing.T) {
 	}
 }
 
+// newChordTable allocates and fills a standalone chord table outside
+// the scratch pool.
+func newChordTable(pts []transform.Point) *chordTable {
+	n := len(pts)
+	t := &chordTable{
+		px:  make([]float64, n+1),
+		pxx: make([]float64, n+1),
+		py:  make([]float64, n+1),
+		pyy: make([]float64, n+1),
+		pxy: make([]float64, n+1),
+	}
+	t.fill(pts)
+	return t
+}
+
+// at returns e(i, j) for i < j through chordErr, one chord at a time:
+// the per-query form the reference recurrence reads.
+func (t *chordTable) at(i, j int) float64 {
+	if j-i < 2 {
+		return 0
+	}
+	lo, hi := i+1, j
+	return chordErr(float64(t.pts[i].X), t.pts[i].Y, float64(t.pts[j].X), t.pts[j].Y,
+		float64(hi-lo), t.px[hi]-t.px[lo], t.pxx[hi]-t.pxx[lo], t.py[hi]-t.py[lo],
+		t.pyy[hi]-t.pyy[lo], t.pxy[hi]-t.pxy[lo])
+}
+
 // coarsenReference is the plain k-outer Eq. 9 recurrence, kept as the
 // differential oracle for CoarsenCtx's column-major loop: it evaluates
-// e(i, j) afresh for every chord count and skips only unreached
-// predecessors. Both loops visit i in ascending order and keep the
-// first strict minimum, so their Indices and MSE must agree bit for
-// bit, not merely within a tolerance.
+// e(i, j) afresh for every chord count and cell, skips only unreached
+// predecessors and compares floats. It keeps the first strict minimum
+// of an ascending scan, which is the pair CoarsenCtx's branch-free
+// argmin returns, so their Indices and MSE must agree bit for bit, not
+// merely within a tolerance.
 func coarsenReference(pts []transform.Point, m int) (indices []int, mse float64) {
 	n := len(pts)
 	cerr := newChordTable(pts)
@@ -217,6 +246,10 @@ func coarsenReference(pts []transform.Point, m int) (indices []int, mse float64)
 			parent[k][j] = bestI
 		}
 	}
+	//hebslint:allow floateq MaxFloat64 is an exact "unreached" marker
+	if dp[m][n-1] == inf {
+		return nil, inf // no feasible cover: Coarsen reports an error
+	}
 	indices = make([]int, m+1)
 	j := n - 1
 	for k := m; k >= 1; k-- {
@@ -227,9 +260,18 @@ func coarsenReference(pts []transform.Point, m int) (indices []int, mse float64)
 }
 
 // sameAsReference reports how r differs from coarsenReference on the
-// same instance, or "" when Indices and the MSE bits are equal.
+// same instance, or "" when Indices and the MSE bits are equal. A nil r
+// (a failed solve) matches only a reference with no feasible cover.
 func sameAsReference(pts []transform.Point, m int, r *Result) string {
 	idx, mse := coarsenReference(pts, m)
+	switch {
+	case r == nil && idx == nil:
+		return ""
+	case r == nil:
+		return fmt.Sprintf("solve failed, reference %v", idx)
+	case idx == nil:
+		return fmt.Sprintf("indices %v, reference has no feasible cover", r.Indices)
+	}
 	if !slices.Equal(r.Indices, idx) {
 		return fmt.Sprintf("indices %v, reference %v", r.Indices, idx)
 	}
@@ -294,6 +336,68 @@ func TestCoarsenMatchesReference(t *testing.T) {
 				if d := sameAsReference(pts, m, res); d != "" {
 					t.Errorf("%s R=%d m=%d: %s", im.name, r, m, d)
 				}
+			}
+		}
+	}
+}
+
+// TestCoarsenTiesMatchReference holds CoarsenCtx to the reference on
+// curves where many candidate sums tie exactly, at the pipeline's
+// n = 256: a constant, a staircase, and the GHE curves of 16² and 32²
+// sipi crops rounded to integers, whose flat stretches and integer
+// chord errors give equal sums at different predecessors. The first
+// index must win every tie, in either argmin chain and across the
+// merge. The extreme-Y curve puts 1e300, +Inf, −Inf and NaN in the
+// tail: every chord with one of them as an end or interior point, and
+// every chord past the overflowing prefix sums, costs +Inf or NaN, so
+// row 1 leaves those cells unreached and only the six adjacent chords
+// (cost 0) cross the tail from point 249. Budgets below 7 then have no
+// feasible cover, which the solve must report as the reference does.
+func TestCoarsenTiesMatchReference(t *testing.T) {
+	const n = 256
+	curve := func(y func(i int) float64) []transform.Point {
+		pts := make([]transform.Point, n)
+		for i := range pts {
+			pts[i] = transform.Point{X: i, Y: y(i)}
+		}
+		return pts
+	}
+	type named struct {
+		name string
+		pts  []transform.Point
+	}
+	curves := []named{
+		{"constant", curve(func(int) float64 { return 37 })},
+		{"staircase", curve(func(i int) float64 { return float64(i / 16 * 16) })},
+	}
+	extreme := curve(func(i int) float64 { return float64(i / 8) })
+	extreme[250].Y, extreme[252].Y, extreme[253].Y, extreme[254].Y = 1e300, math.Inf(1), math.Inf(-1), math.NaN()
+	curves = append(curves, named{"extreme", extreme})
+	suite, err := sipi.Suite(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []int{16, 32} {
+		for _, s := range suite {
+			crop, err := s.Image.SubImage(image.Rect(16, 16, 16+side, 16+side))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := gheCurve(t, crop, 200)
+			for i := range pts {
+				pts[i].Y = math.Round(pts[i].Y)
+			}
+			curves = append(curves, named{fmt.Sprintf("%s/%d²", s.Name, side), pts})
+		}
+	}
+	for _, c := range curves {
+		for _, m := range []int{1, 2, 10, 255} {
+			res, err := Coarsen(c.pts, m)
+			if err != nil && res != nil {
+				t.Fatalf("%s m=%d: error %v with a result", c.name, m, err)
+			}
+			if d := sameAsReference(c.pts, m, res); d != "" {
+				t.Errorf("%s m=%d: %s (err %v)", c.name, m, d, err)
 			}
 		}
 	}
@@ -505,6 +609,37 @@ func TestChordTableCollinearZero(t *testing.T) {
 
 func BenchmarkCoarsenGHECurve(b *testing.B) {
 	pts := gheCurve(b, fbmImage(128, 3), 150)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Coarsen(pts, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoarsenZoneCurve coarsens the curve of one dirty zone of a
+// talking head: a 32×32 zone of a 4×4 LED grid over a 128² portrait,
+// crossed by a 20×12 mouth patch of seeded random pixels. Its 1,024
+// pixels leave most of the 256 levels empty, so Φ has long flat
+// stretches, unlike the dense curve of BenchmarkCoarsenGHECurve. A
+// zoned walk re-solves such a curve on every frame the patch changes.
+func BenchmarkCoarsenZoneCurve(b *testing.B) {
+	img, err := sipi.Portrait(128, 128, sipi.PortraitSpec{Mean: 0.5, Spread: 0.6, Grain: 0.05, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := rng.New(1)
+	for y := 72; y < 84; y++ {
+		for x := 52; x < 72; x++ {
+			img.Set(x, y, uint8(80+s.Intn(100)))
+		}
+	}
+	zone, err := img.SubImage(image.Rect(32, 64, 64, 96))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := gheCurve(b, zone, 150)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
