@@ -76,15 +76,19 @@ bench:
 #
 # With BENCH_BASE=<rev>, bench-compare runs in paired mode instead: it
 # builds <rev> in a temporary git worktree (removed on exit), then runs
-# the base and the working tree's hebsbench -only perf in
-# $(BENCH_PAIRS) alternating pairs and gates ns/op on the median
-# per-pair ratio, so host drift that slows both runs of a pair cancels.
+# the base and the working tree's hebsbench -only perf in 3
+# alternating pairs and gates ns/op on the median per-pair ratio, so
+# host drift that slows both runs of a pair cancels. Known false
+# positive: on a shared 2-vCPU host the drift within a pair is wider
+# than the 10% default. Three runs with the same revision on both
+# sides failed it twice, on image/exact256, plc/ghe256, video/talking16
+# and video/zoned16 at workers=1 (+11.8% to +42.6%). On such a host
+# pass BENCH_TOLERANCE=50, as CI does; 10 is for a quiet machine.
 BENCH_OLD ?= BENCH_pipeline.json
 BENCH_NEW ?= BENCH_pipeline.new.json
 BENCH_TOLERANCE ?= 10
 BENCH_WORKERS ?= 4
 BENCH_BASE ?=
-BENCH_PAIRS ?= 3
 
 bench-baseline:
 	$(GO) run ./cmd/hebsbench -only perf -workers $(BENCH_WORKERS) -json $(BENCH_OLD)
@@ -102,7 +106,7 @@ bench-compare:
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/hebsbench-base" ./cmd/hebsbench); \
 	$(GO) build -o "$$tmp/hebsbench-new" ./cmd/hebsbench; \
 	olds=; news=; \
-	for i in $$(seq 1 $(BENCH_PAIRS)); do \
+	for i in 1 2 3; do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base new"; else order="new base"; fi; \
 		for side in $$order; do \
 			echo "== pair $$i: $$side"; \
