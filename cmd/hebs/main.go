@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) (err error) {
 	dither := fs.String("dither", "", "write the error-diffusion dithered preview here (grayscale)")
 	distortion := fs.Float64("distortion", 0, "maximum tolerable distortion in percent")
 	dynRange := fs.Int("range", 0, "target dynamic range (bypasses the distortion lookup)")
-	segments := fs.Int("segments", driver.DefaultConfig.Sources, "PLC segment budget m")
+	segments := fs.Int("segments", driver.DefaultConfig.Sources, "PLC segment budget m of the panel's reference ladder (not with a multi-zone -backend)")
 	exact := fs.Bool("exact", true, "per-image range search (false: global characteristic curve)")
 	voltages := fs.Bool("voltages", false, "print the PLRD reference voltage program")
 	resize := fs.Int("resize", 0, "resample the input to this edge length before processing (0 = keep)")
@@ -146,6 +146,16 @@ func run(args []string, out io.Writer) (err error) {
 		} else {
 			if *colorMode || *voltages || *preview != "" || *dither != "" {
 				return fmt.Errorf("-backend %s supports only -out output (no -color/-voltages/-preview/-dither)", b.Name())
+			}
+			// The zoned report shows no PLRD program, and a grid of
+			// more than one zone applies each zone's Φ as a digital LUT:
+			// there is no ladder for -segments to budget.
+			opts.Driver = nil
+			if b.Grid().Zones() > 1 {
+				if flagSet(fs, "segments") {
+					return fmt.Errorf("-segments budgets the panel's reference ladder; -backend %s applies each zone's Φ as a digital LUT", b.Name())
+				}
+				opts.Segments = 0
 			}
 			return runZoned(ctx, eng, img, opts, b, *outPath, *zoneTable, out)
 		}
@@ -271,6 +281,13 @@ func runZoned(ctx context.Context, eng *core.Engine, img *gray.Image, opts core.
 		fmt.Fprintf(out, "wrote transformed image to %s\n", outPath)
 	}
 	return nil
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func loadInput(in, bench string) (*gray.Image, error) {

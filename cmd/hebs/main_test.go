@@ -164,6 +164,35 @@ func TestRunArgumentErrors(t *testing.T) {
 	}
 }
 
+// TestRunZonedBackend: a multi-zone -backend runs without a PLRD
+// driver or a PLC budget and rejects an explicit -segments, as it
+// rejects -voltages; the 1×1 OLED grid is the panel's ladder and keeps
+// -segments.
+func TestRunZonedBackend(t *testing.T) {
+	base := []string{"-bench", "lena", "-distortion", "10", "-resize", "64"}
+	for _, extra := range [][]string{
+		{"-backend", "led:4x4", "-zones"},
+		{"-backend", "oled", "-segments", "4"},
+	} {
+		var sb strings.Builder
+		if err := run(append(append([]string(nil), base...), extra...), &sb); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		if !strings.Contains(sb.String(), "power saving:") {
+			t.Errorf("%v: output missing the power saving:\n%s", extra, sb.String())
+		}
+	}
+	for _, extra := range [][]string{
+		{"-backend", "led:4x4", "-segments", "10"},
+		{"-backend", "led:4x4", "-voltages"},
+	} {
+		var sb strings.Builder
+		if err := run(append(append([]string(nil), base...), extra...), &sb); err == nil {
+			t.Errorf("%v should error", extra)
+		}
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-nosuchflag"}, &sb); err == nil {

@@ -320,7 +320,7 @@ func selectRange(img *gray.Image, opts Options) (r int, predicted float64, err e
 type Plan struct {
 	// Lambda is the piecewise-linear transformation to program.
 	Lambda *transform.LUT
-	// Breakpoints are Λ's endpoints Q.
+	// Breakpoints are Λ's endpoints Q; nil for a digital zone plan.
 	Breakpoints []transform.Point
 	// Exact is the un-coarsened GHE solution Φ.
 	Exact *equalize.Result
@@ -341,23 +341,30 @@ type Plan struct {
 	reconErr  error
 }
 
+// digitalPlan is the segment budget of a zone plan on a grid of more
+// than one zone: the panel has one reference ladder (Eq. 10), so a
+// zone compensates digitally and its Λ is Φ's own quantized LUT — what
+// the Eq. 9 DP returns at m = G−1, where the all-points cover is the
+// only feasible one — with no PLC solve, no breakpoint list and no
+// PLRD program. As a plan-cache key it keeps zone plans apart from
+// every ladder plan, whose budgets are at least 1.
+const digitalPlan = 0
+
 // planFromHistogramCtx computes the HEBS transform for a target
 // dynamic range directly from a histogram — the runtime path on
-// hardware with a histogram estimator. segments <= 0 selects the
-// default driver source count; drv may be nil to skip voltage
-// programming; eq selects the equalization variant. The caller's span
-// parents the stage spans (Process passes its run span), and ctx is
-// checked between stages (the PLC DP also checks it per column,
-// bounding cancellation latency on large solves).
+// hardware with a histogram estimator. segments is the resolved PLC
+// budget m, or digitalPlan for a zone of a multi-zone grid; drv may be
+// nil to skip voltage programming (a digital plan never programs one);
+// eq selects the equalization variant. The caller's span parents the
+// stage spans (Process passes its run span), and ctx is checked
+// between stages (the PLC DP also checks it per column, bounding
+// cancellation latency on large solves).
 func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Histogram, r, segments int, drv *driver.Config, eq Equalizer) (*Plan, error) {
 	if h == nil || h.N == 0 {
 		return nil, errors.New("core: empty histogram")
 	}
 	if r < 1 || r > transform.Levels-1 {
 		return nil, fmt.Errorf("core: dynamic range %d outside [1,255]", r)
-	}
-	if segments <= 0 {
-		segments = driver.DefaultConfig.Sources
 	}
 	beta, err := power.BetaForRange(r, transform.Levels)
 	if err != nil {
@@ -392,6 +399,9 @@ func planFromHistogramCtx(ctx context.Context, parent *obs.Span, h *histogram.Hi
 	eqDone.end(err)
 	if err != nil {
 		return nil, err
+	}
+	if segments == digitalPlan {
+		return &Plan{Lambda: ghe.LUT, Exact: ghe, Range: r, Beta: beta}, nil
 	}
 
 	// Step 3: coarsen Φ to Λ via the PLC DP (Eq. 9).

@@ -389,7 +389,7 @@ func TestPlanFromHistogramMatchesProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 140, 0, &cfg, EqualizerGHE)
+	plan, err := planFromHistogramCtx(context.Background(), nil, histogram.Of(img), 140, cfg.Sources, &cfg, EqualizerGHE)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -404,6 +404,23 @@ func (e *Engine) SelectRange(ctx context.Context, img *gray.Image, opts Options)
 	return r, predicted, err
 }
 
+// timedSelectRange is selectRange as one range_select stage under sp.
+// A forced range is a lookup, not a search: it keeps its span so the
+// trace shows every Figure 4 stage, but only range decisions feed the
+// latency histogram. The video scheduler searches in SelectRange and
+// re-runs Process at the governed range, so each searched frame
+// records one sample, not two.
+func timedSelectRange(sp *obs.Span, img *gray.Image, opts Options) (r int, predicted float64, err error) {
+	_, rsDone := stage(sp, stageRangeSelect)
+	r, predicted, err = selectRange(img, opts)
+	if opts.DynamicRange != 0 && err == nil {
+		rsDone.sp.End()
+	} else {
+		rsDone.end(err)
+	}
+	return r, predicted, err
+}
+
 // planFor computes (or retrieves from the plan cache) the Plan for a
 // histogram at range r and resolved segment budget, with stage spans
 // as children of parent. A driver config that cannot be compared by
@@ -479,18 +496,7 @@ func (e *Engine) Process(ctx context.Context, img *gray.Image, opts Options) (*R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, rsDone := stage(sp, stageRangeSelect)
-	r, predicted, err := selectRange(img, opts)
-	if opts.DynamicRange != 0 && err == nil {
-		// A forced range is a lookup, not a search: it keeps its span so
-		// the trace shows every Figure 4 stage, but only range decisions
-		// feed the latency histogram. The video scheduler searches in
-		// SelectRange and re-runs Process at the governed range, so each
-		// searched frame records one sample, not two.
-		rsDone.sp.End()
-	} else {
-		rsDone.end(err)
-	}
+	r, predicted, err := timedSelectRange(sp, img, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"hebs/internal/backlight"
 	"hebs/internal/driver"
 	"hebs/internal/obs"
 	"hebs/internal/sipi"
@@ -153,6 +154,42 @@ func TestSelectRangeRecordsStage(t *testing.T) {
 	res.Release()
 	if got := h.Count(); got != before+1 {
 		t.Errorf("forced-range Process added a range_select sample (count %d, want %d)", got, before+1)
+	}
+}
+
+// TestProcessZonedRecordsStages: one zoned call feeds the same stage
+// ledger as Process — per zone one range_select, histogram, equalize,
+// apply, distortion and power sample, plus the frame's distortion —
+// and, on a multi-zone grid, no plc sample.
+func TestProcessZonedRecordsStages(t *testing.T) {
+	reg := obs.Default()
+	names := []string{stageRangeSelect, stageHistogram, stageEqualize, stagePLC, stageApply, stageDistortion, stagePower}
+	before := map[string]int64{}
+	for _, s := range names {
+		before[s] = reg.Histogram("core.stage."+s+".seconds", nil).Count()
+	}
+	img, err := sipi.Generate("lena", 32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 2, Cols: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{PlanCacheSize: -1})
+	res, err := eng.ProcessZoned(context.Background(), img, Options{MaxDistortionPercent: 10, ExactSearch: true}, led, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	want := map[string]int64{
+		stageRangeSelect: 4, stageHistogram: 4, stageEqualize: 4, stagePLC: 0,
+		stageApply: 4, stageDistortion: 5, stagePower: 4,
+	}
+	for _, s := range names {
+		if got := reg.Histogram("core.stage."+s+".seconds", nil).Count() - before[s]; got != want[s] {
+			t.Errorf("stage %s gained %d samples, want %d", s, got, want[s])
+		}
 	}
 }
 

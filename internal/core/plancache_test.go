@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"hebs/internal/driver"
 	"hebs/internal/histogram"
 	"hebs/internal/obs"
+	"hebs/internal/sipi"
 )
 
 // histWithSeed builds a deterministic histogram distinct per seed.
@@ -71,6 +73,49 @@ func TestPlanCacheExactMatch(t *testing.T) {
 	}
 	if got := c.lookup(hash, h, 200, 8, nil, EqualizerGHE); got != plan {
 		t.Error("driver-less lookup lost its own plan")
+	}
+}
+
+// TestZonePlansKeyedApartFromLadderPlans: a zone plan of a multi-zone
+// grid and an m = 10 ladder plan for the same histogram and range are
+// two cache entries, and the zone plan holds no breakpoint list (a
+// 256-point list per cached zone plan would grow the shared cache's
+// footprint by about 4 KB an entry).
+func TestZonePlansKeyedApartFromLadderPlans(t *testing.T) {
+	img, err := sipi.Generate("lena", 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	h := histogram.Of(img)
+	const r = 150
+	ladder, _, err := eng.planFor(ctx, nil, h, r, driver.DefaultConfig.Sources, nil, EqualizerGHE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zone, _, err := eng.planFor(ctx, nil, h, r, digitalPlan, nil, EqualizerGHE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zone == ladder {
+		t.Fatal("the zone lookup was served the ladder plan")
+	}
+	if zone.Breakpoints != nil {
+		t.Errorf("zone plan holds %d breakpoints, want none", len(zone.Breakpoints))
+	}
+	if *zone.Lambda != *zone.Exact.LUT {
+		t.Error("zone plan's Λ is not Φ's quantized LUT")
+	}
+	if len(ladder.Breakpoints) == 0 || len(ladder.Breakpoints) > driver.DefaultConfig.Sources+1 {
+		t.Errorf("ladder plan holds %d breakpoints, want 2..%d", len(ladder.Breakpoints), driver.DefaultConfig.Sources+1)
+	}
+	hash := h.Fingerprint()
+	if got := eng.plans.lookup(hash, h, r, digitalPlan, nil, EqualizerGHE); got != zone {
+		t.Error("zone plan is not cached under its own key")
+	}
+	if got := eng.plans.lookup(hash, h, r, driver.DefaultConfig.Sources, nil, EqualizerGHE); got != ladder {
+		t.Error("ladder plan is not cached under its own key")
 	}
 }
 

@@ -2,9 +2,13 @@
 // zone of the backend's grid gets its own histogram, admissible range
 // and Λ — per-zone GHE beats the single global β whenever luminance is
 // unevenly distributed, because a dark zone can dim far below the
-// global optimum. The zone grid fans out on internal/parallel, zone
-// plans share the process-wide plan cache (a zone histogram is
-// just a histogram), and a raise-only spatial relaxation
+// global optimum. The panel has one reference ladder, so only a 1×1
+// grid programs it (the Eq. 9 PLC at Options.Segments); on a grid of
+// more than one zone each zone applies its Φ digitally, Λ being Φ's
+// own quantized LUT with no PLC solve. The zone grid fans out on
+// internal/parallel, zone plans share the process-wide plan cache (a
+// zone histogram is just a histogram; digitalPlan keys zone plans
+// apart from ladder plans), and a raise-only spatial relaxation
 // (backlight.Smooth) bounds the β gradient across zone boundaries to
 // suppress halo and blocking artifacts; a caller's ZoneFloors hook (the
 // video governor) raises zones before it. Driven by a 1×1 CCFL backend
@@ -60,6 +64,20 @@ type ZoneGridError struct {
 func (e *ZoneGridError) Error() string {
 	return fmt.Sprintf("core: %dx%d zone grid does not fit a %dx%d frame (every zone needs at least one pixel)",
 		e.Rows, e.Cols, e.W, e.H)
+}
+
+// ZoneLadderError reports an Options field that configures the panel's
+// one reference ladder — the PLRD Driver or the PLC Segments budget —
+// on a grid of more than one zone, where each zone applies its Φ
+// digitally and no ladder is programmed.
+type ZoneLadderError struct {
+	Option     string // "Driver" or "Segments"
+	Rows, Cols int
+}
+
+func (e *ZoneLadderError) Error() string {
+	return fmt.Sprintf("core: Options.%s configures the panel's reference ladder; a %dx%d zone grid applies each zone's Φ as a digital LUT (leave it unset)",
+		e.Option, e.Rows, e.Cols)
 }
 
 // ZoneFloorLengthError reports a ZoneFloors result whose length does
@@ -189,7 +207,10 @@ func copyRect(src, dst *gray.Image, x0, y0 int) {
 // of the backend's grid: per-zone Analyze (histogram + admissible
 // range on the zone's own pixels), a serial β-field pass (floors →
 // spatial smoothing → backend quantization), then a parallel per-zone
-// Plan/Apply with zone-level distortion and power measurement.
+// Plan/Apply with zone-level distortion and power measurement. Each
+// step feeds the same core.stage.* ledger as Process. The plan follows
+// the grid (zoneSegments): Options.Driver and Options.Segments apply
+// to a 1×1 grid only.
 //
 // The β-field pass only ever raises zones above their own optimum
 // (floors and smoothing are raise-only, quantization rounds up), and a
@@ -218,13 +239,13 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	segments := resolveSegments(opts.Segments)
-	if segments < 1 {
-		return nil, segmentBudgetError(segments)
-	}
 	g := b.Grid()
 	if g.Rows < 1 || g.Cols < 1 || g.Cols > img.W || g.Rows > img.H {
 		return nil, &ZoneGridError{Rows: g.Rows, Cols: g.Cols, W: img.W, H: img.H}
+	}
+	segments, err := zoneSegments(opts, g)
+	if err != nil {
+		return nil, err
 	}
 	zones := g.Zones()
 
@@ -248,7 +269,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	// Phase A — per-zone analysis. A zone byte-identical to its
 	// reference copy keeps its histogram and range; a changed zone
 	// recopies, re-searches, re-bins, and drops its measurement memo.
-	err := parallel.ForEach(ctx, zones, e.workers, func(k int) error {
+	err = parallel.ForEach(ctx, zones, e.workers, func(k int) error {
 		z := &st.slots[k]
 		if z.valid && equalRect(img, z.img, z.x0, z.y0) {
 			st.unchanged[k] = true
@@ -260,11 +281,13 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		z.mValid = false
 		z.plan = nil
 		copyRect(img, z.img, z.x0, z.y0)
-		r, _, err := selectRange(z.img, opts)
+		r, _, err := timedSelectRange(sp, z.img, opts)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
+		_, histDone := stage(sp, stageHistogram)
 		histogram.OfInto(z.img, &z.hist)
+		histDone.end(nil)
 		z.r = r
 		z.valid = true
 		mZonedZoneRebins.Inc()
@@ -300,7 +323,9 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	// Phase C — per-zone Plan/Apply/measure. Replaying zones remap Λ
 	// from the memoized plan (the output buffer is always written
 	// fresh) and reuse their stored measurements; computing zones run
-	// the full stage and store the memo; each sets st.recons[k].
+	// the full stage and store the memo; each sets st.recons[k]. Only
+	// computing zones feed the stage ledger: a replaying zone's remap
+	// costs about what two clock reads and a histogram sample do.
 	out := e.getGray(img.W, img.H)
 	results := make([]ZoneResult, zones)
 	err = parallel.ForEach(ctx, zones, e.workers, func(k int) error {
@@ -332,22 +357,30 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
-		if err := applyLUTRect(plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1); err != nil {
+		_, applyDone := stage(zsp, stageApply)
+		err = applyLUTRect(plan.Lambda, img, out, z.x0, z.y0, z.x1, z.y1)
+		applyDone.end(err)
+		if err != nil {
 			return err
 		}
-		if st.recons[k], err = plan.reconstruction(); err != nil {
-			return err
+		var d float64
+		_, distDone := stage(zsp, stageDistortion)
+		st.recons[k], err = plan.reconstruction()
+		if err == nil {
+			d, err = chart.Distortion(z.img, quality.Recon{LUT: st.recons[k]}, opts.Metric)
 		}
-		d, err := chart.Distortion(z.img, quality.Recon{LUT: st.recons[k]}, opts.Metric)
+		distDone.end(err)
 		if err != nil {
 			return fmt.Errorf("core: zone %d distortion: %w", k, err)
 		}
 		total := len(img.Pix)
-		before, err := b.ZonePower(1, backlight.ContentOfRect(img, z.x0, z.y0, z.x1, z.y1, total))
-		if err != nil {
-			return fmt.Errorf("core: zone %d: %w", k, err)
+		var before, after backlight.ZonePower
+		_, powDone := stage(zsp, stagePower)
+		before, err = b.ZonePower(1, backlight.ContentOfRect(img, z.x0, z.y0, z.x1, z.y1, total))
+		if err == nil {
+			after, err = b.ZonePower(st.betas[k], backlight.ContentOfRect(out, z.x0, z.y0, z.x1, z.y1, total))
 		}
-		after, err := b.ZonePower(st.betas[k], backlight.ContentOfRect(out, z.x0, z.y0, z.x1, z.y1, total))
+		powDone.end(err)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -388,7 +421,9 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		mZonedFrameReplays.Inc()
 		sp.SetBool("zoned_frame_replay", true)
 	} else {
+		_, distDone := stage(sp, stageDistortion)
 		res.AchievedDistortion, err = chart.Distortion(img, quality.Recon{Zones: st.recons, XCuts: st.xcuts, YCuts: st.ycuts}, opts.Metric)
+		distDone.end(err)
 		if err != nil {
 			res.Release()
 			return nil, err
@@ -401,6 +436,28 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	finalizeZoned(res, st.befores, st.targets, st.betas, sweeps, sp)
 	sealed = true
 	return res, nil
+}
+
+// zoneSegments is the plan rule of the zone grid. A 1×1 grid is the
+// panel's reference ladder: its plan keeps the Eq. 9 PLC at
+// Options.Segments (and the PLRD program of Options.Driver). A grid of
+// more than one zone applies each zone's Φ digitally (digitalPlan) and
+// rejects both ladder options with a *ZoneLadderError.
+func zoneSegments(opts Options, g backlight.Grid) (int, error) {
+	if g.Zones() == 1 {
+		segments := resolveSegments(opts.Segments)
+		if segments < 1 {
+			return 0, segmentBudgetError(segments)
+		}
+		return segments, nil
+	}
+	switch {
+	case opts.Driver != nil:
+		return 0, &ZoneLadderError{Option: "Driver", Rows: g.Rows, Cols: g.Cols}
+	case opts.Segments != 0:
+		return 0, &ZoneLadderError{Option: "Segments", Rows: g.Rows, Cols: g.Cols}
+	}
+	return digitalPlan, nil
 }
 
 // betaField is phase B — the serial β-field pass: per-zone targets

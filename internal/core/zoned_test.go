@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hebs/internal/backlight"
+	"hebs/internal/driver"
 	"hebs/internal/gray"
 	"hebs/internal/power"
 	"hebs/internal/quality"
@@ -278,6 +279,50 @@ func TestZonedGridValidation(t *testing.T) {
 	}
 }
 
+// TestZonedLadderOptions: a grid of more than one zone rejects the
+// ladder's options — a PLRD Driver or a PLC Segments budget — with a
+// typed error, while a 1×1 grid is the panel's ladder and takes both.
+func TestZonedLadderOptions(t *testing.T) {
+	img := spotlight(32, 32)
+	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 2, Cols: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := driver.DefaultConfig
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	for _, c := range []struct {
+		option string
+		opts   Options
+	}{
+		{"Driver", Options{DynamicRange: 150, Driver: &cfg}},
+		{"Segments", Options{DynamicRange: 150, Segments: 4}},
+		{"Segments", Options{DynamicRange: 150, Segments: transform.Levels - 1}},
+	} {
+		var le *ZoneLadderError
+		_, err := eng.ProcessZoned(ctx, img, c.opts, led, nil)
+		if !errors.As(err, &le) || le.Option != c.option || le.Rows != 2 || le.Cols != 2 {
+			t.Errorf("%s on a 2x2 grid returned %v, want *ZoneLadderError for %s", c.option, err, c.option)
+		}
+	}
+	opts := Options{DynamicRange: 150, Segments: 4, Driver: &cfg}
+	for _, b := range []backlight.Backend{backlight.DefaultCCFL(), backlight.DefaultOLED()} {
+		zr, err := eng.ProcessZoned(ctx, img, opts, b, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		want, err := eng.Process(ctx, img, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !zr.Transformed.Equal(want.Transformed) {
+			t.Errorf("%s: the 1x1 zone did not keep the m = 4 ladder plan", b.Name())
+		}
+		want.Release()
+		zr.Release()
+	}
+}
+
 // TestZonedSmoothingBoundsGradient: on a frame whose one full-drive
 // zone sits among black zones the relaxation runs, and the applied β
 // field respects DefaultZoneMaxGradient (up to one quantization step).
@@ -331,7 +376,10 @@ func paste(dst, src *gray.Image, x0, y0 int) {
 
 // TestZonedMatchesPerZoneProcess checks the zoned walk against an
 // oracle that shares none of its code: the classic Engine.Process run
-// on each zone's crop at the zone's applied range. Per zone, the
+// on each zone's crop at the zone's applied range. On a multi-zone
+// grid the oracle runs the Eq. 9 PLC DP at m = G−1, whose all-points
+// cover must reproduce the digital zone LUT; on a 1×1 grid it runs the
+// default ladder budget, like the zone. Per zone, the
 // transformed rectangle and the distortion must match the crop's run
 // bit for bit, and TargetBeta must be the β of SelectRange on the
 // crop. Per frame, AchievedDistortion must be the UQI of the mosaic of
@@ -359,6 +407,10 @@ func TestZonedMatchesPerZoneProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range backends {
+			segments := 0
+			if b.Grid().Zones() > 1 {
+				segments = transform.Levels - 1
+			}
 			for _, floored := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/floors=%v", fx, b.Name(), floored)
 				var floors ZoneFloors
@@ -389,7 +441,7 @@ func TestZonedMatchesPerZoneProcess(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := oracle.Process(ctx, zimg, Options{DynamicRange: z.Range})
+					res, err := oracle.Process(ctx, zimg, Options{DynamicRange: z.Range, Segments: segments})
 					if err != nil {
 						t.Fatalf("%s zone %d: %v", name, k, err)
 					}

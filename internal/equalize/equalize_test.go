@@ -1,6 +1,7 @@
 package equalize
 
 import (
+	"image"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"hebs/internal/gray"
 	"hebs/internal/histogram"
 	"hebs/internal/rng"
+	"hebs/internal/sipi"
 	"hebs/internal/transform"
 )
 
@@ -253,4 +255,49 @@ func TestEqualizedImageDynamicRangeProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLUTIsAllPointsCover: the quantized LUT equals the piecewise-
+// linear LUT through every point of the exact curve — the all-points
+// cover, the Eq. 9 DP's only feasible answer at m = G−1 — on the GHE
+// curves of the 19 sipi images at 128² and of 16 random 32² crops of
+// each, at every range R = 2…255. This is what lets a zone of a
+// multi-zone backend apply Φ's own LUT with no PLC solve and still get
+// the Λ the DP would return.
+func TestLUTIsAllPointsCover(t *testing.T) {
+	suite, err := sipi.Suite(sipi.DefaultSize, sipi.DefaultSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(31)
+	var hists []*histogram.Histogram
+	for _, ni := range suite {
+		hists = append(hists, histogram.Of(ni.Image))
+		for c := 0; c < 16; c++ {
+			x, y := src.Intn(ni.Image.W-32+1), src.Intn(ni.Image.H-32+1)
+			crop, err := ni.Image.SubImage(image.Rect(x, y, x+32, y+32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hists = append(hists, histogram.Of(crop))
+		}
+	}
+	curves := 0
+	for i, h := range hists {
+		for r := 2; r < transform.Levels; r++ {
+			res, err := SolveRange(h, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cover, err := transform.Piecewise(res.Points())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *cover != *res.LUT {
+				t.Fatalf("histogram %d at R=%d: quantized LUT differs from the all-points cover", i, r)
+			}
+			curves++
+		}
+	}
+	t.Logf("%d curves", curves)
 }

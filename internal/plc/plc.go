@@ -13,9 +13,12 @@
 // evaluations per solve), then every chord count k that has a reader
 // takes the first minimum of dp[k−1][i] + e(i, j) over i with a
 // branch-free scan. Two rows need no scan: row 1 has one reached
-// predecessor, and row m is read only at column n−1. m is set by the
-// number of controllable reference-voltage sources in the LCD driver
-// (Figure 5b), which is what makes small m valuable.
+// predecessor, and row m is read only at column n−1. m is the source
+// count of the panel's one reference ladder, the controllable
+// reference-voltage sources of the LCD driver (Figure 5b), which is
+// what makes small m valuable. A zone of a local-dimming grid has no
+// ladder of its own: it applies Φ's quantized LUT, which is the
+// all-points cover this DP returns at m = n−1, and needs no solve.
 package plc
 
 import (
