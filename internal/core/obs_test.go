@@ -159,15 +159,10 @@ func TestSelectRangeRecordsStage(t *testing.T) {
 
 // TestProcessZonedRecordsStages: one zoned call feeds the same stage
 // ledger as Process — per zone one range_select, histogram, equalize,
-// apply, distortion and power sample, plus the frame's distortion —
-// and, on a multi-zone grid, no plc sample.
+// apply, distortion and power sample, plus the frame's distortion on a
+// multi-zone grid — and, on a multi-zone grid, no plc sample. A 1×1
+// grid's one zone is the frame, so it measures the metric once.
 func TestProcessZonedRecordsStages(t *testing.T) {
-	reg := obs.Default()
-	names := []string{stageRangeSelect, stageHistogram, stageEqualize, stagePLC, stageApply, stageDistortion, stagePower}
-	before := map[string]int64{}
-	for _, s := range names {
-		before[s] = reg.Histogram("core.stage."+s+".seconds", nil).Count()
-	}
 	img, err := sipi.Generate("lena", 32, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -176,19 +171,38 @@ func TestProcessZonedRecordsStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(EngineOptions{PlanCacheSize: -1})
-	res, err := eng.ProcessZoned(context.Background(), img, Options{MaxDistortionPercent: 10, ExactSearch: true}, led, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Release()
-	want := map[string]int64{
-		stageRangeSelect: 4, stageHistogram: 4, stageEqualize: 4, stagePLC: 0,
-		stageApply: 4, stageDistortion: 5, stagePower: 4,
-	}
-	for _, s := range names {
-		if got := reg.Histogram("core.stage."+s+".seconds", nil).Count() - before[s]; got != want[s] {
-			t.Errorf("stage %s gained %d samples, want %d", s, got, want[s])
+	for _, c := range []struct {
+		b    backlight.Backend
+		want map[string]int64
+	}{
+		{led, map[string]int64{
+			stageRangeSelect: 4, stageHistogram: 4, stageEqualize: 4, stagePLC: 0,
+			stageApply: 4, stageDistortion: 5, stagePower: 4,
+		}},
+		{backlight.DefaultCCFL(), map[string]int64{
+			stageRangeSelect: 1, stageHistogram: 1, stageEqualize: 1, stagePLC: 1,
+			stageApply: 1, stageDistortion: 1, stagePower: 1,
+		}},
+		{backlight.DefaultOLED(), map[string]int64{
+			stageRangeSelect: 1, stageHistogram: 1, stageEqualize: 1, stagePLC: 1,
+			stageApply: 1, stageDistortion: 1, stagePower: 1,
+		}},
+	} {
+		reg := obs.Default()
+		before := map[string]int64{}
+		for s := range c.want {
+			before[s] = reg.Histogram("core.stage."+s+".seconds", nil).Count()
+		}
+		eng := NewEngine(EngineOptions{PlanCacheSize: -1})
+		res, err := eng.ProcessZoned(context.Background(), img, Options{MaxDistortionPercent: 10, ExactSearch: true}, c.b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		for s, want := range c.want {
+			if got := reg.Histogram("core.stage."+s+".seconds", nil).Count() - before[s]; got != want {
+				t.Errorf("%s: stage %s gained %d samples, want %d", c.b.Name(), s, got, want)
+			}
 		}
 	}
 }

@@ -66,17 +66,17 @@ func (e *ZoneGridError) Error() string {
 		e.Rows, e.Cols, e.W, e.H)
 }
 
-// ZoneLadderError reports an Options field that configures the panel's
-// one reference ladder — the PLRD Driver or the PLC Segments budget —
-// on a grid of more than one zone, where each zone applies its Φ
-// digitally and no ladder is programmed.
+// ZoneLadderError reports a reference-ladder option the zone grid
+// cannot honor: the PLRD Driver on any grid, since a ZonedResult
+// carries no driver program, or the PLC Segments budget on a grid of
+// more than one zone, where each zone applies its Φ digitally.
 type ZoneLadderError struct {
 	Option     string // "Driver" or "Segments"
 	Rows, Cols int
 }
 
 func (e *ZoneLadderError) Error() string {
-	return fmt.Sprintf("core: Options.%s configures the panel's reference ladder; a %dx%d zone grid applies each zone's Φ as a digital LUT (leave it unset)",
+	return fmt.Sprintf("core: Options.%s is not supported on a %dx%d zone grid: zoned results carry no driver program, and a grid of more than one zone applies each zone's Φ as a digital LUT (leave it unset)",
 		e.Option, e.Rows, e.Cols)
 }
 
@@ -209,8 +209,8 @@ func copyRect(src, dst *gray.Image, x0, y0 int) {
 // spatial smoothing → backend quantization), then a parallel per-zone
 // Plan/Apply with zone-level distortion and power measurement. Each
 // step feeds the same core.stage.* ledger as Process. The plan follows
-// the grid (zoneSegments): Options.Driver and Options.Segments apply
-// to a 1×1 grid only.
+// the grid (zoneSegments): Options.Segments applies to a 1×1 grid
+// only, and Options.Driver to none.
 //
 // The β-field pass only ever raises zones above their own optimum
 // (floors and smoothing are raise-only, quantization rounds up), and a
@@ -353,7 +353,7 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		zsp := sp.Child("engine.zone")
 		defer zsp.End()
 		zsp.SetInt("zone", k)
-		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments, opts.Driver, opts.Equalizer)
+		plan, cached, err := e.planFor(ctx, zsp, &z.hist, st.rngs[k], segments, nil, opts.Equalizer)
 		if err != nil {
 			return fmt.Errorf("core: zone %d: %w", k, err)
 		}
@@ -421,12 +421,16 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 		mZonedFrameReplays.Inc()
 		sp.SetBool("zoned_frame_replay", true)
 	} else {
-		_, distDone := stage(sp, stageDistortion)
-		res.AchievedDistortion, err = chart.Distortion(img, quality.Recon{Zones: st.recons, XCuts: st.xcuts, YCuts: st.ycuts}, opts.Metric)
-		distDone.end(err)
-		if err != nil {
-			res.Release()
-			return nil, err
+		// A 1×1 grid's one zone is the frame: its metric is the frame's.
+		res.AchievedDistortion = results[0].Distortion
+		if zones > 1 {
+			_, distDone := stage(sp, stageDistortion)
+			res.AchievedDistortion, err = chart.Distortion(img, quality.Recon{Zones: st.recons, XCuts: st.xcuts, YCuts: st.ycuts}, opts.Metric)
+			distDone.end(err)
+			if err != nil {
+				res.Release()
+				return nil, err
+			}
 		}
 		if st.keyOK {
 			st.frameDist = res.AchievedDistortion
@@ -438,12 +442,15 @@ func (e *Engine) ProcessZoned(ctx context.Context, img *gray.Image, opts Options
 	return res, nil
 }
 
-// zoneSegments is the plan rule of the zone grid. A 1×1 grid is the
-// panel's reference ladder: its plan keeps the Eq. 9 PLC at
-// Options.Segments (and the PLRD program of Options.Driver). A grid of
-// more than one zone applies each zone's Φ digitally (digitalPlan) and
-// rejects both ladder options with a *ZoneLadderError.
+// zoneSegments is the plan rule of the zone grid. Every grid rejects
+// Options.Driver with a *ZoneLadderError (a ZoneResult has no field for
+// the program). A 1×1 grid is the panel's reference ladder: its plan
+// keeps the Eq. 9 PLC at Options.Segments. A grid of more than one zone
+// applies each zone's Φ digitally (digitalPlan) and rejects Segments.
 func zoneSegments(opts Options, g backlight.Grid) (int, error) {
+	if opts.Driver != nil {
+		return 0, &ZoneLadderError{Option: "Driver", Rows: g.Rows, Cols: g.Cols}
+	}
 	if g.Zones() == 1 {
 		segments := resolveSegments(opts.Segments)
 		if segments < 1 {
@@ -451,10 +458,7 @@ func zoneSegments(opts Options, g backlight.Grid) (int, error) {
 		}
 		return segments, nil
 	}
-	switch {
-	case opts.Driver != nil:
-		return 0, &ZoneLadderError{Option: "Driver", Rows: g.Rows, Cols: g.Cols}
-	case opts.Segments != 0:
+	if opts.Segments != 0 {
 		return 0, &ZoneLadderError{Option: "Segments", Rows: g.Rows, Cols: g.Cols}
 	}
 	return digitalPlan, nil

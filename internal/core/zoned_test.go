@@ -279,9 +279,10 @@ func TestZonedGridValidation(t *testing.T) {
 	}
 }
 
-// TestZonedLadderOptions: a grid of more than one zone rejects the
-// ladder's options — a PLRD Driver or a PLC Segments budget — with a
-// typed error, while a 1×1 grid is the panel's ladder and takes both.
+// TestZonedLadderOptions: every grid rejects a PLRD Driver (a zoned
+// result carries no driver program) and a grid of more than one zone
+// rejects a PLC Segments budget, each with a typed error, while a 1×1
+// grid is the panel's ladder and keeps Segments.
 func TestZonedLadderOptions(t *testing.T) {
 	img := spotlight(32, 32)
 	led, err := backlight.NewLED(backlight.LEDOptions{Rows: 2, Cols: 2})
@@ -292,20 +293,24 @@ func TestZonedLadderOptions(t *testing.T) {
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
 	for _, c := range []struct {
-		option string
-		opts   Options
+		option     string
+		b          backlight.Backend
+		rows, cols int
+		opts       Options
 	}{
-		{"Driver", Options{DynamicRange: 150, Driver: &cfg}},
-		{"Segments", Options{DynamicRange: 150, Segments: 4}},
-		{"Segments", Options{DynamicRange: 150, Segments: transform.Levels - 1}},
+		{"Driver", led, 2, 2, Options{DynamicRange: 150, Driver: &cfg}},
+		{"Driver", backlight.DefaultCCFL(), 1, 1, Options{DynamicRange: 150, Segments: 4, Driver: &cfg}},
+		{"Driver", backlight.DefaultOLED(), 1, 1, Options{DynamicRange: 150, Driver: &cfg}},
+		{"Segments", led, 2, 2, Options{DynamicRange: 150, Segments: 4}},
+		{"Segments", led, 2, 2, Options{DynamicRange: 150, Segments: transform.Levels - 1}},
 	} {
 		var le *ZoneLadderError
-		_, err := eng.ProcessZoned(ctx, img, c.opts, led, nil)
-		if !errors.As(err, &le) || le.Option != c.option || le.Rows != 2 || le.Cols != 2 {
-			t.Errorf("%s on a 2x2 grid returned %v, want *ZoneLadderError for %s", c.option, err, c.option)
+		_, err := eng.ProcessZoned(ctx, img, c.opts, c.b, nil)
+		if !errors.As(err, &le) || le.Option != c.option || le.Rows != c.rows || le.Cols != c.cols {
+			t.Errorf("%s on %s returned %v, want *ZoneLadderError for %s", c.option, c.b.Name(), err, c.option)
 		}
 	}
-	opts := Options{DynamicRange: 150, Segments: 4, Driver: &cfg}
+	opts := Options{DynamicRange: 150, Segments: 4}
 	for _, b := range []backlight.Backend{backlight.DefaultCCFL(), backlight.DefaultOLED()} {
 		zr, err := eng.ProcessZoned(ctx, img, opts, b, nil)
 		if err != nil {

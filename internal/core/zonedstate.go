@@ -209,7 +209,7 @@ func (st *zonedState) checkReplay(ctx context.Context, sp *obs.Span, k, segments
 	z := &st.slots[k]
 	csp := sp.Child("core.zone_replay_check")
 	defer csp.End()
-	plan, err := planFromHistogramCtx(ctx, csp, &z.hist, st.rngs[k], segments, opts.Driver, opts.Equalizer)
+	plan, err := planFromHistogramCtx(ctx, csp, &z.hist, st.rngs[k], segments, nil, opts.Equalizer)
 	if err != nil {
 		return fmt.Errorf("core: zone %d replay check: %w", k, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hebs/internal/core"
-	"hebs/internal/invariant"
 	"hebs/internal/noalloc"
 )
 
@@ -16,24 +15,16 @@ import (
 // keeps that number from silently creeping. The budget is the
 // irreducible per-clip bookkeeping — the Result and its frame slices,
 // the per-clip span — not per-frame work: the per-frame loop itself
-// is proven allocation-free by hebsvet's //hebs:noalloc gate.
+// is proven allocation-free by hebsvet's //hebs:noalloc gate. The
+// hebscheck build holds the same budget: the walk's invariant
+// assertions box their arguments only on failure.
 const steadyStateAllocBudget = 23
-
-// steadyStateAllocBudgetChecked is the same clip's cost under the
-// hebscheck build tag, which boxes the invariant assertions' arguments
-// (38 allocs/op, measured): the guard still bounds that build rather
-// than skipping it.
-const steadyStateAllocBudgetChecked = 38
 
 // deltaSteadyAllocBudget is the same static clip with delta analysis
 // on (BENCH_pipeline.json video/static16: every frame fuses). The
 // tile scan of histogram.FrameDelta.Update allocates nothing, so the
-// clip costs 7 allocs/op (measured); deltaSteadyAllocBudgetChecked is
-// its hebscheck count.
-const (
-	deltaSteadyAllocBudget        = 7
-	deltaSteadyAllocBudgetChecked = 22
-)
+// clip costs 7 allocs/op (measured).
+const deltaSteadyAllocBudget = 7
 
 // TestSteadyStateAllocGuard is the bench guard for the headline
 // steady-state number, run as a test so `go test ./internal/video`
@@ -52,20 +43,16 @@ func TestSteadyStateAllocGuard(t *testing.T) {
 		t.Skip("allocation budget does not apply under -race")
 	}
 	cases := []struct {
-		name            string
-		delta           bool
-		budget, checked int64
-		record          string
+		name   string
+		delta  bool
+		budget int64
+		record string
 	}{
-		{"full", false, steadyStateAllocBudget, steadyStateAllocBudgetChecked, "video/steady16"},
-		{"delta", true, deltaSteadyAllocBudget, deltaSteadyAllocBudgetChecked, "video/static16"},
+		{"full", false, steadyStateAllocBudget, "video/steady16"},
+		{"delta", true, deltaSteadyAllocBudget, "video/static16"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			budget := tc.budget
-			if invariant.Enabled {
-				budget = tc.checked
-			}
 			seq := steadyClip(t)
 			pol := steadyPolicy()
 			pol.DeltaAnalysis = tc.delta
@@ -84,8 +71,8 @@ func TestSteadyStateAllocGuard(t *testing.T) {
 				}
 			})
 			allocs := res.AllocsPerOp()
-			t.Logf("%d allocs/op (budget %d)", allocs, budget)
-			if allocs > budget {
+			t.Logf("%d allocs/op (budget %d)", allocs, tc.budget)
+			if allocs > tc.budget {
 				inv, err := noalloc.Scan("../..")
 				suspects := ""
 				if err != nil {
@@ -98,7 +85,7 @@ func TestSteadyStateAllocGuard(t *testing.T) {
 				t.Errorf("steady-state clip allocates %d objects/op; budget %d (BENCH_pipeline.json %s)\n"+
 					"per-frame leaks show up as ~16x jumps; the //hebs:noalloc inventory below names the hot-path\n"+
 					"functions to re-check with `go run ./cmd/hebsvet -v`:\n%s",
-					allocs, budget, tc.record, suspects)
+					allocs, tc.budget, tc.record, suspects)
 			}
 		})
 	}

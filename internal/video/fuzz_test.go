@@ -1,6 +1,7 @@
 package video
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -135,7 +136,8 @@ func fuzzClip(t *testing.T, script uint64, n uint8, ops int) *Sequence {
 // FuzzClipWalk is the differential oracle of the classic clip walk:
 // over held frames, pans, cuts and flashes, with DeltaAnalysis on and
 // off, ReuseThreshold {0, 4}, Workers {1, 2}, MaxStep {0, 0.01, k/255}
-// and CutThreshold {0, 0.15}, Process returns referenceWalk's Result.
+// and CutThreshold {0, 0.15}, Process returns referenceWalk's Result
+// and never dims by more than MaxStep outside a scene cut.
 // Each input runs twice on one shared engine, so the second run starts
 // from frame −1 — the first run's last frame with its own range and
 // measurements — and may fuse from it. Each input gets a fresh engine,
@@ -178,6 +180,7 @@ func FuzzClipWalk(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkSlewBound(t, fmt.Sprintf("run %d", run), got, pol)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("run %d: result differs from the reference walk:\n got %+v\nwant %+v", run, got, want)
 			}

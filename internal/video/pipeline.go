@@ -299,13 +299,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		return nil, err
 	}
 
-	// Phase D — the serial governor: resolve inherited ranges, then
-	// run the fast-attack/slow-decay β track with cut snapping (see
-	// Process). A slew-limited β is re-quantized through RangeForBeta —
-	// the applied β must sit on the driver's range grid, and phase E
-	// transforms the frame at that range so the image is consistent with
-	// the backlight actually applied.
-	prevBeta := math.NaN()
+	// Phase D — the serial governor: resolve inherited ranges, then run
+	// the one-entry β track. Phase E transforms at the applied range, so
+	// a slew floor rounds up onto the range grid: no step dims past
+	// MaxStep, and the 1e-9 tolerance keeps a step of k/255 at k levels.
+	var prevBuf, floorBuf [1]float64
+	gov := newGovernor(pol, 0, prevBuf[:0], floorBuf[:])
 	tr := 0
 	// prevApply is frame i−1's applied range (frame −1's for frame 0,
 	// -1 when frame −1 has no valid record).
@@ -325,35 +324,17 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		if err != nil {
 			return nil, fmt.Errorf("video: frame %d: %w", i, err)
 		}
-		applied := target
-		cutSnap := false
-		if !math.IsNaN(prevBeta) && pol.MaxStep > 0 {
-			delta := target - prevBeta
-			isCut := pol.CutThreshold > 0 && math.Abs(delta) > pol.CutThreshold
-			cutSnap = isCut
-			// Brightening (delta >= 0) is immediate: staying below the
-			// frame's target would exceed its distortion budget. Dimming
-			// is slew-limited unless a scene cut masks it.
-			if delta < -pol.MaxStep && !isCut {
-				applied = prevBeta - pol.MaxStep
-			}
-		}
+		floor := gov.floorsFor([]float64{target})
 		st[i].target = target
 		st[i].applyRange = tr
-		st[i].cut = cutSnap
-		finalBeta := target
-		//hebslint:allow floateq applied is assigned from target unless slew-limited
-		if applied != target {
-			st[i].slew = true
-			rng, err := power.RangeForBeta(applied, transform.Levels)
-			if err != nil {
-				return nil, fmt.Errorf("video: frame %d: %w", i, err)
-			}
-			st[i].applyRange = rng
-			finalBeta, err = power.BetaForRange(rng, transform.Levels)
-			if err != nil {
-				return nil, fmt.Errorf("video: frame %d: %w", i, err)
-			}
+		st[i].cut = gov.cutSnap
+		st[i].slew = gov.slew
+		if gov.slew {
+			st[i].applyRange = int(math.Ceil(floor[0]*float64(transform.Levels-1) - 1e-9))
+		}
+		applied, err := power.BetaForRange(st[i].applyRange, transform.Levels)
+		if err != nil {
+			return nil, fmt.Errorf("video: frame %d: %w", i, err)
 		}
 		// Fusion: identical pixels at an identical operating point
 		// measure identically, so the frame copies its predecessor's
@@ -378,15 +359,12 @@ func processPipelined(ctx context.Context, seq *Sequence, pol Policy, workers in
 		}
 		if invariant.Enabled {
 			invariant.AssertBeta("video: target β", st[i].target)
-			invariant.AssertBeta("video: applied β", finalBeta)
-			if pol.MaxStep > 0 && !math.IsNaN(prevBeta) && !cutSnap {
-				// The track may only dim by MaxStep per frame, plus the
-				// 1/(G−1) quantization of RangeForBeta's floor.
-				invariant.Assert(prevBeta-finalBeta <= pol.MaxStep+1.0/float64(transform.Levels-1)+1e-9,
-					"video: dimming slew %v exceeds MaxStep %v", prevBeta-finalBeta, pol.MaxStep)
+			invariant.AssertBeta("video: applied β", applied)
+			if gov.floored && floor[0]-applied > 1e-9 {
+				invariant.Assert(false, "video: applied β %v dims past its slew floor %v", applied, floor[0])
 			}
 		}
-		prevBeta = finalBeta
+		gov.prev = append(gov.prev[:0], applied)
 	}
 
 	// Phase E — Apply and measure at the resolved ranges, fanned out.

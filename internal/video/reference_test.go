@@ -21,8 +21,9 @@ import (
 // caching off) — with the previous range when the reuse estimator
 // calls the scene static — then the fast-attack/slow-decay governor
 // with cut snap picks the applied β, and a slew-limited frame re-runs
-// the pipeline at RangeForBeta(applied). It shares no code with
-// processPipelined beyond Result.aggregate.
+// the pipeline at the smallest range whose β is at least applied (up
+// to 1e-9 levels, so a MaxStep of k/(G−1) dims exactly k levels). It
+// shares no code with processPipelined beyond Result.aggregate.
 func referenceWalk(seq *Sequence, pol Policy) (*Result, error) {
 	ctx := context.Background()
 	sub := power.DefaultSubsystem
@@ -69,10 +70,7 @@ func referenceWalk(seq *Sequence, pol Policy) (*Result, error) {
 			}
 		}
 		if applied != target {
-			rng, err := power.RangeForBeta(applied, transform.Levels)
-			if err != nil {
-				return nil, err
-			}
+			rng := int(math.Ceil(applied*float64(transform.Levels-1) - 1e-9))
 			opts := pol.Options
 			opts.DynamicRange, opts.MaxDistortionPercent, opts.ExactSearch = rng, 0, false
 			r.Release()
@@ -155,10 +153,29 @@ func checksumClip(t *testing.T) *Sequence {
 	return seq
 }
 
+// checkSlewBound fails when res dims by more than pol.MaxStep (plus
+// 1e-9) between consecutive frames that are not a scene cut, a target
+// more than CutThreshold away from the previous applied β.
+func checkSlewBound(t *testing.T, name string, res *Result, pol Policy) {
+	t.Helper()
+	if pol.MaxStep <= 0 {
+		return
+	}
+	for i := 1; i < len(res.Frames); i++ {
+		prev, fr := res.Frames[i-1].Beta, res.Frames[i]
+		if pol.CutThreshold > 0 && math.Abs(fr.TargetBeta-prev) > pol.CutThreshold {
+			continue
+		}
+		if prev-fr.Beta > pol.MaxStep+1e-9 {
+			t.Fatalf("%s: frame %d dims β %v → %v, past MaxStep %v", name, i, prev, fr.Beta, pol.MaxStep)
+		}
+	}
+}
+
 // checkWalkMatrix asserts that Process equals referenceWalk bit for bit
 // — every per-frame β, range, distortion and saving, and the clip
-// aggregates — for every fixture × oracle policy × delta setting ×
-// worker count.
+// aggregates — and keeps within the slew bound, for every fixture ×
+// oracle policy × delta setting × worker count.
 func checkWalkMatrix(t *testing.T, fixtures map[string]*Sequence, deltas []bool, workerCounts []int) {
 	t.Helper()
 	for seqName, seq := range fixtures {
@@ -175,9 +192,10 @@ func checkWalkMatrix(t *testing.T, fixtures map[string]*Sequence, deltas []bool,
 					if err != nil {
 						t.Fatalf("%s/%s delta=%v workers=%d: %v", seqName, polName, delta, workers, err)
 					}
+					name := fmt.Sprintf("%s/%s delta=%v workers=%d", seqName, polName, delta, workers)
+					checkSlewBound(t, name, got, p)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s delta=%v workers=%d: result differs from the reference walk:\n got %+v\nwant %+v",
-							seqName, polName, delta, workers, got, want)
+						t.Fatalf("%s: result differs from the reference walk:\n got %+v\nwant %+v", name, got, want)
 					}
 				}
 			}

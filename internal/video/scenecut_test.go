@@ -130,7 +130,7 @@ func TestProcessWithCutDetectionSnapsAtCuts(t *testing.T) {
 	// limit: β decreases by at most MaxStep per frame.
 	for i := 9; i < 12; i++ {
 		drop := res.Frames[i-1].Beta - res.Frames[i].Beta
-		if drop > pol.MaxStep+1.0/255 {
+		if drop > pol.MaxStep+1e-9 {
 			t.Errorf("frame %d: dimming step %v exceeds slew limit", i, drop)
 		}
 	}

@@ -106,13 +106,15 @@ func Cut(a, b *Sequence) (*Sequence, error) {
 
 // Policy configures temporal backlight control.
 type Policy struct {
-	// MaxStep is the largest allowed |Δβ| between consecutive frames
-	// (slew-rate limit). 0 disables smoothing. A cut larger than
-	// CutThreshold bypasses the limit (scene changes mask flicker).
+	// MaxStep is the largest allowed dimming step (drop of the applied
+	// β) between consecutive frames; brightening is immediate. β rounds
+	// up onto the grid, so a MaxStep below one grid level holds β. 0
+	// disables smoothing. A cut larger than CutThreshold bypasses the
+	// limit (scene changes mask flicker).
 	MaxStep float64
-	// CutThreshold: when the target β changes by more than this, the
-	// policy treats it as a scene cut and snaps immediately. 0 disables
-	// snapping.
+	// CutThreshold: when the target β moves more than this from the last
+	// applied β (the zone mean on the zoned walk), the policy treats it
+	// as a scene cut and snaps immediately. 0 disables snapping.
 	CutThreshold float64
 	// ReuseThreshold enables the static-scene optimization: when the
 	// earth-mover's distance between the running histogram estimate and

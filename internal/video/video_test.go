@@ -196,7 +196,7 @@ func TestProcessSmoothingReducesFlicker(t *testing.T) {
 	// immediate by design (the distortion budget wins).
 	for i := 1; i < len(smooth.Frames); i++ {
 		drop := smooth.Frames[i-1].Beta - smooth.Frames[i].Beta
-		if drop > 0.05+1.0/255 {
+		if drop > 0.05+1e-9 {
 			t.Errorf("frame %d: dimming step %v exceeds slew limit", i, drop)
 		}
 	}
@@ -224,9 +224,37 @@ func TestProcessNeverDimsBelowTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range res.Frames {
-		if f.Beta < f.TargetBeta-1.0/255 {
+		if f.Beta < f.TargetBeta {
 			t.Errorf("frame %d: applied β %v dims below admissible target %v",
 				i, f.Beta, f.TargetBeta)
+		}
+	}
+}
+
+// TestSubLevelMaxStepHoldsBeta: a MaxStep below one range level
+// (1/255) cannot dim a whole level, and the slew floor rounds up onto
+// the range grid, so β holds at frame 0's through a dimming fade with
+// no cut.
+func TestSubLevelMaxStepHoldsBeta(t *testing.T) {
+	seq, err := Fade(brightFrame(t), darkFrame(t), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Process(seq, Policy{
+		MaxStep: 0.5 / 255,
+		Options: core.Options{MaxDistortionPercent: 10, ExactSearch: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := res.Frames[0], res.Frames[len(res.Frames)-1]
+	if last.TargetBeta >= first.Beta {
+		t.Fatalf("fade target β %v does not dim below frame 0's %v", last.TargetBeta, first.Beta)
+	}
+	for i, f := range res.Frames {
+		if f.Beta != first.Beta || f.Range != first.Range {
+			t.Errorf("frame %d: β %v (range %d), want frame 0's held %v (range %d)",
+				i, f.Beta, f.Range, first.Beta, first.Range)
 		}
 	}
 }

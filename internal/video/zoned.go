@@ -6,39 +6,23 @@
 // intersected with the backend's hardware MaxSlew) — expressed as
 // per-zone floors handed to core's zoned engine path, which applies
 // them before spatial smoothing so the halo relaxation still bounds
-// the final field. The governor runs inside the one engine call per
-// frame, on the frame's own zone targets: a mean |target − prev|
-// beyond CutThreshold is a scene cut, and the field snaps (no floors).
+// the final field. The governor (governor.go, shared with the classic
+// walk) runs inside the one engine call per frame, on the frame's own
+// zone targets: a mean |target − prev| beyond CutThreshold is a scene
+// cut, and the field snaps (no floors).
 package video
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"hebs/internal/core"
 	"hebs/internal/invariant"
 	"hebs/internal/obs"
-	"hebs/internal/transform"
 )
 
 var mZonedFrames = obs.NewCounter("video.zoned.frames_total")
-
-// effectiveSlew intersects the policy's slew limit with the hardware's
-// (0 means unlimited on either side).
-func effectiveSlew(policy, hardware float64) float64 {
-	switch {
-	case policy <= 0:
-		return hardware
-	case hardware <= 0:
-		return policy
-	case hardware < policy:
-		return hardware
-	default:
-		return policy
-	}
-}
 
 // processZonedClip walks a clip through the per-zone engine path.
 // Frames run serially; intra-frame parallelism (the zone fan-out)
@@ -55,8 +39,6 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		// cache sizing needed.
 		eng = core.NewEngine(core.EngineOptions{Workers: pol.Workers})
 	}
-	step := effectiveSlew(pol.MaxStep, b.MaxSlew())
-	quant := 1.0 / float64(transform.Levels-1)
 	workers := eng.Workers()
 
 	sp := pol.Options.Trace.Child("video.ProcessZoned")
@@ -67,35 +49,9 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 	mSequences.Inc()
 
 	res := &Result{}
-	prev := make([]float64, 0, zones) // applied β field of the previous frame
-	floors := make([]float64, zones)
-	// govern is the temporal governor, run by the engine between the
-	// per-zone analysis and the β field. A mean |target − prev| beyond
-	// CutThreshold is a scene cut: holding the old field would serve a
-	// scene that no longer exists, so the field snaps (no floors).
-	// Otherwise each zone dims by at most step below its previous β.
-	var floored, cutSnap bool
-	govern := func(targets []float64) []float64 {
-		floored, cutSnap = false, false
-		if len(prev) != zones || step <= 0 {
-			return nil
-		}
-		if pol.CutThreshold > 0 {
-			meanDelta := 0.0
-			for k, t := range targets {
-				meanDelta += math.Abs(t - prev[k])
-			}
-			if meanDelta/float64(zones) > pol.CutThreshold {
-				cutSnap = true
-				return nil
-			}
-		}
-		for k, p := range prev {
-			floors[k] = max(p-step, 0)
-		}
-		floored = true
-		return floors
-	}
+	// The engine runs the governor's floorsFor hook between the
+	// per-zone analysis and the β field.
+	gov := newGovernor(pol, b.MaxSlew(), make([]float64, 0, zones), make([]float64, zones))
 
 	var clipErr error
 	for i, frame := range seq.Frames {
@@ -112,7 +68,7 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 
 		opts := pol.Options
 		opts.Trace = fsp
-		zr, err := eng.ProcessZoned(ctx, frame, opts, b, govern)
+		zr, err := eng.ProcessZoned(ctx, frame, opts, b, gov.floorsFor)
 		if err != nil {
 			gInflight.Add(-1)
 			fsp.End()
@@ -122,7 +78,7 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 			}
 			return nil, fmt.Errorf("video: frame %d: %w", i, err)
 		}
-		if cutSnap {
+		if gov.cutSnap {
 			fsp.SetBool("cut_snap", true)
 			mCutSnaps.Inc()
 		}
@@ -130,7 +86,7 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		meanTarget := 0.0
 		maxRange := 0
 		planCached := true
-		prev = prev[:0]
+		gov.prev = gov.prev[:0]
 		for k := range zr.Zones {
 			z := &zr.Zones[k]
 			meanTarget += z.TargetBeta
@@ -138,12 +94,11 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 				maxRange = z.Range
 			}
 			planCached = planCached && z.PlanCached
-			prev = append(prev, z.Beta)
+			gov.prev = append(gov.prev, z.Beta)
 			if invariant.Enabled {
 				invariant.AssertBeta("video: zone β", z.Beta)
-				if floored {
-					invariant.Assert(floors[k]-z.Beta <= 1e-9,
-						"video: zone %d β %v fell below its floor %v", k, z.Beta, floors[k])
+				if gov.floored && gov.floors[k]-z.Beta > 1e-9 {
+					invariant.Assert(false, "video: zone %d β %v fell below its floor %v", k, z.Beta, gov.floors[k])
 				}
 			}
 		}
@@ -161,8 +116,7 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 		smooth := zr.SmoothSweeps
 		zr.Release()
 
-		slew := floored && fr.Beta-fr.TargetBeta > quant+1e-12
-		if slew {
+		if gov.slew {
 			fsp.SetBool("slew_limited", true)
 			mSlewLimited.Inc()
 		}
@@ -181,8 +135,8 @@ func processZonedClip(ctx context.Context, seq *Sequence, pol Policy) (*Result, 
 				Beta:           fr.Beta,
 				Range:          fr.Range,
 				PlanCached:     planCached,
-				CutSnap:        cutSnap,
-				SlewLimited:    slew,
+				CutSnap:        gov.cutSnap,
+				SlewLimited:    gov.slew,
 				SmoothIters:    smooth,
 				Zones:          zones,
 				ZoneBetaSpread: fr.ZoneBetaSpread,

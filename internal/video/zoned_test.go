@@ -218,7 +218,7 @@ func TestZonedSlewAndCut(t *testing.T) {
 	// Each zone dims by at most the step per frame, so the mean does too.
 	for i := 1; i < len(limited.Frames); i++ {
 		drop := limited.Frames[i-1].Beta - limited.Frames[i].Beta
-		if drop > 0.02+1.0/255 {
+		if drop > 0.02+1e-9 {
 			t.Errorf("frame %d: mean dimming step %v exceeds slew limit", i, drop)
 		}
 	}
